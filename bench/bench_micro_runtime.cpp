@@ -6,6 +6,8 @@
 // waterbox through the full parallel runtime on the chosen execution
 // backend and reports per-step time — virtual seconds for the DES machine,
 // measured wall-clock seconds for the threaded backend. Flags:
+//   --kernel K    non-bonded kernel: scalar|tiled (default: the library
+//                 default, tiled)
 //   --pes N       virtual processors (default 8)
 //   --threads N   threaded-backend workers (0 = all hardware threads)
 //   --steps N     timed steps after the LB warm-up (default 5)
@@ -29,6 +31,7 @@
 #include "bench_common.hpp"
 #include "core/parallel_sim.hpp"
 #include "des/simulator.hpp"
+#include "ff/nonbonded_tiled.hpp"
 #include "gen/water_box.hpp"
 #include "rts/multicast.hpp"
 #include "rts/reduction.hpp"
@@ -163,14 +166,16 @@ BackendRun run_backend_once(const Workload& wl, BackendKind backend, int pes,
   return r;
 }
 
-int run_backend_bench(BackendKind backend, int pes, int threads, int steps,
-                      double box_side, bool audit,
+int run_backend_bench(BackendKind backend, NonbondedKernel kernel, int pes,
+                      int threads, int steps, double box_side, bool audit,
                       const bench::CommonArgs& args) {
   Molecule mol = make_water_box({box_side, box_side, box_side}, /*seed=*/42);
   mol.assign_velocities(300.0, /*seed=*/7);
-  std::printf("water box %.0f A side, %d atoms, %d PEs, %d timed steps\n",
-              box_side, mol.atom_count(), pes, steps);
-  const Workload wl(mol, MachineModel::asci_red());
+  std::printf("water box %.0f A side, %d atoms, %d PEs, %d timed steps, %s kernel\n",
+              box_side, mol.atom_count(), pes, steps, kernel_name(kernel));
+  NonbondedOptions nb;
+  nb.kernel = kernel;
+  const Workload wl(mol, MachineModel::asci_red(), nb);
 
   const BackendRun r = run_backend_once(wl, backend, pes, threads, steps);
   std::printf("%s backend: %.6f %s s/step (window %.6f s)\n",
@@ -209,6 +214,7 @@ int run_backend_bench(BackendKind backend, int pes, int threads, int steps,
       .param("steps", r.steps)
       .param("window_seconds", r.window_seconds)
       .label("backend", backend_name(r.backend))
+      .label("kernel", kernel_name(kernel))
       .label("clock", r.wall_clock ? "wall" : "virtual");
   report.benchmarks = runner.take_records();
   return bench::emit_report(args, report);
@@ -227,6 +233,7 @@ int main(int argc, char** argv) {
   bool have_backend = common.json;  // a report request implies backend mode
   bool audit = false;
   BackendKind backend = BackendKind::kSimulated;
+  scalemd::NonbondedKernel kernel = scalemd::NonbondedOptions{}.kernel;
   int pes = 8;
   int threads = 0;
   int steps = 5;
@@ -250,6 +257,13 @@ int main(int argc, char** argv) {
         return 1;
       }
       have_backend = true;
+    } else if (std::strcmp(arg, "--kernel") == 0) {
+      const char* v = next_val();
+      if (v == nullptr || !scalemd::kernel_from_name(v, kernel) ||
+          kernel == scalemd::NonbondedKernel::kTiledThreads) {
+        std::fprintf(stderr, "--kernel wants scalar|tiled\n");
+        return 1;
+      }
     } else if (std::strcmp(arg, "--audit") == 0) {
       audit = true;
       have_backend = true;
@@ -268,8 +282,8 @@ int main(int argc, char** argv) {
     }
   }
   if (have_backend) {
-    return scalemd::run_backend_bench(backend, pes, threads, steps, box_side,
-                                      audit, common);
+    return scalemd::run_backend_bench(backend, kernel, pes, threads, steps,
+                                      box_side, audit, common);
   }
   int bench_argc = static_cast<int>(passthrough.size());
   benchmark::Initialize(&bench_argc, passthrough.data());

@@ -5,11 +5,16 @@
 // Usage: quickstart [--kernel scalar|tiled|tiled+threads] [--threads N]
 //                   [--check]
 //        quickstart --backend=sim|threads|process [--pes N] [--threads N]
-//                   [--workers N] [--full-elec] [--check]
+//                   [--workers N] [--full-elec] [--kernel K] [--check]
 //        quickstart --backend=process --kill-worker W [--kill-after N]
 //                   [--checkpoint-every N] [--checkpoint-path FILE] [--check]
 //        quickstart --pes N [--fault-seed S | --fault-plan FILE]
-//                   [--checkpoint-every N] [--check]
+//                   [--checkpoint-every N] [--kernel K] [--check]
+//
+// --kernel picks the non-bonded kernel in every form; without it each run
+// uses the library default (tiled). scalar is the reference loop the other
+// kernels are tested against. tiled+threads nests a thread pool inside the
+// kernel and is rejected with an error on the threads and process backends.
 //
 // --check attaches the physics-invariant checker (src/check/) to the run and
 // reports any violated invariant (energy drift, net force/momentum, ...).
@@ -69,11 +74,11 @@ int usage(const char* prog) {
                "usage: %s [--kernel scalar|tiled|tiled+threads] [--threads N]"
                " [--check]\n"
                "       %s --backend=sim|threads|process [--pes N] [--threads N]"
-               " [--workers N] [--full-elec] [--check]\n"
+               " [--workers N] [--full-elec] [--kernel K] [--check]\n"
                "       %s --backend=process --kill-worker W [--kill-after N]"
                " [--checkpoint-every N] [--checkpoint-path FILE] [--check]\n"
                "       %s --pes N [--fault-seed S | --fault-plan FILE]"
-               " [--checkpoint-every N] [--check]\n",
+               " [--checkpoint-every N] [--kernel K] [--check]\n",
                prog, prog, prog, prog);
   return 1;
 }
@@ -90,7 +95,8 @@ struct ProcessDemo {
 /// The backend demo: waterbox on the parallel runtime — DES, real threads,
 /// or forked worker processes (optionally with a chaos kill + recovery).
 int run_parallel(scalemd::BackendKind backend, int pes, int threads,
-                 const ProcessDemo& proc, bool full_elec, bool check) {
+                 scalemd::NonbondedKernel kernel, const ProcessDemo& proc,
+                 bool full_elec, bool check) {
   using namespace scalemd;
 
   Molecule mol;
@@ -113,6 +119,7 @@ int run_parallel(scalemd::BackendKind backend, int pes, int threads,
   NonbondedOptions nb;
   nb.cutoff = 6.5;
   nb.switch_dist = 5.5;
+  nb.kernel = kernel;
   if (full_elec) {
     nb.full_elec.enabled = true;
     nb.full_elec.alpha = 0.46;  // erfc(alpha * cutoff) ~ 1e-2 of the screen
@@ -136,9 +143,9 @@ int run_parallel(scalemd::BackendKind backend, int pes, int threads,
     opts.checkpoint_path = proc.checkpoint_path;
   }
   ParallelSim sim(workload, opts);
-  std::printf("system: %s, %d atoms on %d PEs, backend %s\n",
+  std::printf("system: %s, %d atoms on %d PEs, backend %s, kernel %s\n",
               full_elec ? "waterbox+ions" : "waterbox", mol.atom_count(), pes,
-              backend_name(backend));
+              backend_name(backend), kernel_name(kernel));
   if (full_elec) {
     std::printf("full electrostatics: PME %dx%dx%d order %d, %d slab "
                 "object(s) in the runtime\n",
@@ -211,8 +218,8 @@ int run_parallel(scalemd::BackendKind backend, int pes, int threads,
 }
 
 /// The chaos demo: waterbox on the simulated machine, resilient runtime on.
-int run_chaos(int pes, const scalemd::FaultPlan& plan, int checkpoint_every,
-              bool check) {
+int run_chaos(int pes, scalemd::NonbondedKernel kernel,
+              const scalemd::FaultPlan& plan, int checkpoint_every, bool check) {
   using namespace scalemd;
 
   Molecule mol = make_water_box({16.0, 16.0, 16.0}, /*seed=*/11);
@@ -221,8 +228,9 @@ int run_chaos(int pes, const scalemd::FaultPlan& plan, int checkpoint_every,
   NonbondedOptions nb;
   nb.cutoff = 6.5;
   nb.switch_dist = 5.5;
-  std::printf("system: waterbox, %d atoms on %d simulated PEs\n",
-              mol.atom_count(), pes);
+  nb.kernel = kernel;
+  std::printf("system: waterbox, %d atoms on %d simulated PEs, kernel %s\n",
+              mol.atom_count(), pes, kernel_name(kernel));
   std::printf("fault plan: seed %llu, drop %.3f, dup %.3f, delay %.3f, "
               "%zu slowdowns, %zu failures\n",
               static_cast<unsigned long long>(plan.seed), plan.drop_prob,
@@ -276,12 +284,24 @@ int run_chaos(int pes, const scalemd::FaultPlan& plan, int checkpoint_every,
   return ok ? 0 : 1;
 }
 
+/// Runs a parallel demo, turning a rejected configuration (for example
+/// tiled+threads on a real backend) into an error message and exit code 1.
+template <class Demo>
+int run_guarded(const Demo& demo) {
+  try {
+    return demo();
+  } catch (const scalemd::ParallelConfigError& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return 1;
+  }
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   using namespace scalemd;
 
-  NonbondedKernel kernel = NonbondedKernel::kScalar;
+  NonbondedKernel kernel = NonbondedOptions{}.kernel;
   int threads = 0;  // 0 = let the engine pick
   bool check = false;
   int pes = 0;  // > 0 selects the parallel chaos demo
@@ -375,8 +395,10 @@ int main(int argc, char** argv) {
       proc.checkpoint_every = checkpoint_every > 0 ? checkpoint_every : 1;
       if (!have_ckpt_path) proc.checkpoint_path = "quickstart.ckpt";
     }
-    return run_parallel(backend, pes > 0 ? pes : 8, threads, proc, full_elec,
-                        check);
+    return run_guarded([&] {
+      return run_parallel(backend, pes > 0 ? pes : 8, threads, kernel, proc,
+                          full_elec, check);
+    });
   }
   if (full_elec) {
     std::fprintf(stderr,
@@ -386,7 +408,8 @@ int main(int argc, char** argv) {
   }
   if (pes > 0 || have_plan) {
     if (pes <= 0) pes = 8;
-    return run_chaos(pes, plan, checkpoint_every, check);
+    return run_guarded(
+        [&] { return run_chaos(pes, kernel, plan, checkpoint_every, check); });
   }
 
   // A ~3000-atom solvated chain (deterministic for a given seed).

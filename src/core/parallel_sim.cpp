@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <map>
 #include <cmath>
+#include <string>
 
 #include <fcntl.h>
 #include <unistd.h>
@@ -142,13 +143,22 @@ MeasuredCosts probe_costs(const Molecule& mol, const Decomposition& d,
   return mc;
 }
 
+/// Rejects options no kernel can run before the probe pass runs a kernel.
+const NonbondedOptions& checked(const NonbondedOptions& nb) {
+  if (const char* why = full_elec_error(nb.full_elec)) {
+    throw ParallelConfigError(std::string("invalid full-electrostatics options: ") +
+                              why);
+  }
+  return nb;
+}
+
 }  // namespace
 
 Workload::Workload(const Molecule& molecule, const MachineModel& machine,
                    const NonbondedOptions& nonbonded_opts,
                    const ComputePlanOptions& plan_opts)
     : mol(&molecule),
-      nonbonded(nonbonded_opts),
+      nonbonded(checked(nonbonded_opts)),
       decomp(molecule, nonbonded_opts.cutoff),
       measured(probe_costs(molecule, decomp, machine, nonbonded_opts)),
       plan(decomp, molecule, machine, plan_opts, &measured),
@@ -158,8 +168,42 @@ Workload::Workload(const Molecule& molecule, const MachineModel& machine,
 // Construction
 // ---------------------------------------------------------------------------
 
+namespace {
+
+/// "" when `opts` can run `workload`, else the first broken rule (listed at
+/// the ParallelSim constructor's declaration).
+std::string config_error(const ParallelOptions& opts, const Workload& workload) {
+  const bool real = opts.backend != BackendKind::kSimulated;
+  if (real && !opts.numeric) {
+    return std::string(backend_name(opts.backend)) +
+           " backend requires numeric mode";
+  }
+  if (real && workload.nonbonded.kernel == NonbondedKernel::kTiledThreads) {
+    return std::string("kernel tiled+threads would nest thread pools on the ") +
+           backend_name(opts.backend) + " backend; use tiled";
+  }
+  if (real && !opts.fault.empty()) {
+    return "fault plans require the simulated backend";
+  }
+  if (real && opts.reliable) {
+    return "reliable delivery requires the simulated backend";
+  }
+  if (opts.backend == BackendKind::kThreaded && opts.checkpoint_every != 0) {
+    return "checkpoints require the simulated or process backend";
+  }
+  if (const char* why = full_elec_error(workload.nonbonded.full_elec)) {
+    return std::string("invalid full-electrostatics options: ") + why;
+  }
+  return "";
+}
+
+}  // namespace
+
 ParallelSim::ParallelSim(const Workload& workload, const ParallelOptions& opts)
     : wl_(&workload), opts_(opts), mol_(workload.mol) {
+  if (const std::string why = config_error(opts_, workload); !why.empty()) {
+    throw ParallelConfigError(why);
+  }
   if (opts_.numeric) {
     excl_ = ExclusionTable::build(*mol_);
     charges_.reserve(static_cast<std::size_t>(mol_->atom_count()));
@@ -169,7 +213,9 @@ ParallelSim::ParallelSim(const Workload& workload, const ParallelOptions& opts)
     }
     nb_ctx_ = std::make_unique<NonbondedContext>(mol_->params, excl_, charges_,
                                                  lj_types_, wl_->nonbonded);
-    tiled_ws_.resize(static_cast<std::size_t>(opts_.num_pes));
+    if (wl_->nonbonded.kernel == NonbondedKernel::kTiled) {
+      tile_scratch_.resize(static_cast<std::size_t>(opts_.num_pes));
+    }
     if (wl_->nonbonded.kernel == NonbondedKernel::kTiledThreads) {
       const int t = wl_->nonbonded.threads > 0 ? wl_->nonbonded.threads
                                                : ThreadPool::default_threads();
@@ -177,29 +223,16 @@ ParallelSim::ParallelSim(const Workload& workload, const ParallelOptions& opts)
     }
   }
 
+  // Both real backends run tasks for real, so only numeric mode has work to
+  // run, and the layers built on DES timer semantics (fault injection,
+  // reliable delivery) stay DES-only; config_error() enforced all of that
+  // above. The process backend DOES support checkpointing: failures there
+  // are real worker deaths (SIGKILL, crash, hang), and recovery replays
+  // from an on-disk checkpoint.
   if (opts_.backend == BackendKind::kThreaded) {
-    // The threaded backend runs tasks for real: only numeric mode has real
-    // work to run, and the layers built on DES timer semantics (fault
-    // injection, reliable delivery, checkpoint/restart) stay DES-only.
-    assert(opts_.numeric && "threaded backend requires numeric mode");
-    assert(opts_.fault.empty() && !opts_.reliable &&
-           opts_.checkpoint_every == 0 &&
-           "fault/recovery layers require the simulated backend");
-    assert(wl_->nonbonded.kernel != NonbondedKernel::kTiledThreads &&
-           "tiled-threads kernel would nest thread pools; use kTiled");
     exec_ = std::make_unique<ThreadedBackend>(opts_.num_pes, opts_.machine,
                                               opts_.threads);
   } else if (opts_.backend == BackendKind::kProcess) {
-    // The process backend also executes for real, in forked worker
-    // processes. Modeled fault plans and reliable delivery stay DES-only,
-    // but checkpointing IS supported: failures here are real worker deaths
-    // (SIGKILL, crash, hang), and recovery replays from an on-disk
-    // checkpoint.
-    assert(opts_.numeric && "process backend requires numeric mode");
-    assert(opts_.fault.empty() && !opts_.reliable &&
-           "fault modeling and reliable delivery require the simulated backend");
-    assert(wl_->nonbonded.kernel != NonbondedKernel::kTiledThreads &&
-           "tiled-threads kernel would nest thread pools; use kTiled");
     auto proc = std::make_unique<ProcessBackend>(opts_.num_pes, opts_.machine,
                                                  opts_.process);
     proc_ = proc.get();
@@ -225,8 +258,6 @@ ParallelSim::ParallelSim(const Workload& workload, const ParallelOptions& opts)
     // Full electrostatics: S slab objects carry the reciprocal solve. The
     // entries exist on every backend (the process wire needs their ids
     // before setup_process_wire registers decoders).
-    assert(full_elec_error(wl_->nonbonded.full_elec) == nullptr &&
-           "invalid full-electrostatics options");
     pme_plan_ = std::make_unique<PmeSlabPlan>(
         mol_->box, to_pme_options(wl_->nonbonded.full_elec),
         std::max(1, opts_.pme.slabs));
@@ -238,7 +269,6 @@ ParallelSim::ParallelSim(const Workload& workload, const ParallelOptions& opts)
     e_pme_force_ = reg.add("Patch::recvPmeForces", WorkCategory::kComm);
   }
   if (opts_.reliable) {
-    assert(des_ != nullptr);
     reliable_ = std::make_unique<ReliableComm>(*des_, opts_.reliable_opts);
   }
   if (proc_ != nullptr) setup_process_wire();
@@ -277,6 +307,10 @@ ParallelSim::ParallelSim(const Workload& workload, const ParallelOptions& opts)
     }
   }
   active_patches_ = static_cast<int>(patches_.size());
+  if (!tile_scratch_.empty()) {
+    tiles_.resize(static_cast<std::size_t>(mol_->atom_count()));
+    tile_off_.resize(patches_.size());
+  }
 
   // Compute runtime state.
   computes_.resize(wl_->plan.computes().size());
@@ -369,6 +403,12 @@ void ParallelSim::rebuild_dataflow() {
   }
 
   patch_contribs_.assign(patches_.size(), {});
+  // Tile slices follow the (possibly migrated) patch sizes.
+  std::size_t tile_rows = 0;
+  for (std::size_t p = 0; p < tile_off_.size(); ++p) {
+    tile_off_[p] = tile_rows;
+    tile_rows += patches_[p].atoms.size();
+  }
   for (std::size_t p = 0; p < patches_.size(); ++p) {
     patches_[p].contrib_expected =
         static_cast<int>(patch_proxy_ids_[p].size());
@@ -417,9 +457,24 @@ int ParallelSim::proxy_index(int patch, int pe) const {
 // Step dataflow
 // ---------------------------------------------------------------------------
 
+void ParallelSim::gather_tile(int patch) {
+  if (tile_off_.empty()) return;
+  const PatchRt& pr = patches_[static_cast<std::size_t>(patch)];
+  tiles_.gather_at(tile_off_[static_cast<std::size_t>(patch)], *nb_ctx_, pr.atoms,
+                   pr.pos);
+}
+
+TileView ParallelSim::tile_of(int patch) const {
+  return tiles_.view(tile_off_[static_cast<std::size_t>(patch)],
+                     patches_[static_cast<std::size_t>(patch)].atoms.size());
+}
+
 void ParallelSim::publish_coords(ExecContext& ctx, int patch) {
   PatchRt& pr = patches_[static_cast<std::size_t>(patch)];
   const int home = patch_home_[static_cast<std::size_t>(patch)];
+  // This round's tile, before any compute reading the patch can be
+  // scheduled (the home proxy below runs them straight away).
+  gather_tile(patch);
   const std::size_t bytes = static_cast<std::size_t>(opts_.msg_header_bytes) +
                             static_cast<std::size_t>(pr.natoms()) *
                                 static_cast<std::size_t>(opts_.bytes_per_atom_coord);
@@ -536,9 +591,9 @@ void ParallelSim::run_compute(ExecContext& ctx, int compute) {
             e = nonbonded_self_range(*nb_ctx_, pa.atoms, pa.pos, fa, b, en, w);
             break;
           case NonbondedKernel::kTiled:
-            e = nonbonded_self_range_tiled(*nb_ctx_, pa.atoms, pa.pos, fa, b,
-                                           en, w,
-                                           tiled_ws_[static_cast<std::size_t>(pe)]);
+            e = nonbonded_self_tile_range(*nb_ctx_, tile_of(desc.patches[0]),
+                                          desc.patches[0], atom_loc_, fa, b, en, w,
+                                          tile_scratch_[static_cast<std::size_t>(pe)]);
             break;
           case NonbondedKernel::kTiledThreads:
             e = nonbonded_self_range_tiled_mt(*nb_ctx_, pa.atoms, pa.pos, fa,
@@ -561,9 +616,10 @@ void ParallelSim::run_compute(ExecContext& ctx, int compute) {
                                    pb.pos, fb, b, en, w);
             break;
           case NonbondedKernel::kTiled:
-            e = nonbonded_ab_range_tiled(*nb_ctx_, pa.atoms, pa.pos, fa,
-                                         pb.atoms, pb.pos, fb, b, en, w,
-                                         tiled_ws_[static_cast<std::size_t>(pe)]);
+            e = nonbonded_ab_tile_range(*nb_ctx_, tile_of(desc.patches[0]), fa,
+                                        tile_of(desc.patches[1]), desc.patches[1],
+                                        atom_loc_, fb, b, en, w,
+                                        tile_scratch_[static_cast<std::size_t>(pe)]);
             break;
           case NonbondedKernel::kTiledThreads:
             e = nonbonded_ab_range_tiled_mt(*nb_ctx_, pa.atoms, pa.pos, fa,
@@ -1517,6 +1573,7 @@ void ParallelSim::setup_process_wire() {
       for (std::size_t i = 0; i < pr.pos.size(); ++i) {
         pr.pos[i] = {w.reals[3 * i], w.reals[3 * i + 1], w.reals[3 * i + 2]};
       }
+      gather_tile(patch);
       c.charge_pack(
           static_cast<double>(
               static_cast<std::size_t>(opts_.msg_header_bytes) +
@@ -2242,6 +2299,22 @@ void ParallelSim::migrate_atoms() {
     }
   }
   if (any) {
+    // Grow each destination to its exact new size up front. push_back would
+    // double a patch's arrays whenever it outgrows them, and over a long
+    // run that slack accumulated into several MB of peak RSS.
+    std::vector<std::size_t> arriving(patches_.size(), 0);
+    for (const auto& from : movers) {
+      for (const auto& mv : from) ++arriving[static_cast<std::size_t>(mv.second)];
+    }
+    for (std::size_t p = 0; p < patches_.size(); ++p) {
+      PatchRt& d = patches_[p];
+      const std::size_t n = d.atoms.size() + arriving[p];
+      d.atoms.reserve(n);
+      d.pos.reserve(n);
+      d.vel.reserve(n);
+      d.mass.reserve(n);
+      d.frc.reserve(n);
+    }
     // Apply moves: copy atom state to destinations, compact sources.
     std::map<std::pair<int, int>, int> traffic;  // (src pe, dst pe) -> atoms
     for (std::size_t p = 0; p < patches_.size(); ++p) {

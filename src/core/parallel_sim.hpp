@@ -4,6 +4,7 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <stdexcept>
 #include <utility>
 #include <vector>
 
@@ -40,10 +41,19 @@ struct LbPolicy {
   double refine_overload = 1.03;
 };
 
+/// A Workload / ParallelOptions combination the runtime cannot run. The
+/// Workload and ParallelSim constructors throw it in every build, release
+/// included.
+class ParallelConfigError : public std::invalid_argument {
+ public:
+  using std::invalid_argument::invalid_argument;
+};
+
 /// A workload bundles everything about the molecular system that is
 /// independent of the processor count: decomposition, compute plan and the
 /// measured per-object work. Build once, sweep ParallelSim over P.
 struct Workload {
+  /// Throws ParallelConfigError on invalid full-electrostatics options.
   Workload(const Molecule& molecule, const MachineModel& machine,
            const NonbondedOptions& nonbonded = {},
            const ComputePlanOptions& plan_opts = {});
@@ -145,6 +155,15 @@ struct ParallelOptions {
 /// one MachineModel) running one workload.
 class ParallelSim {
  public:
+  /// Throws ParallelConfigError, naming the first broken rule, when the
+  /// combination cannot run:
+  /// - the threaded and process backends execute for real, so they need
+  ///   numeric mode;
+  /// - kTiledThreads on the threaded or process backend would nest thread
+  ///   pools (use kTiled there);
+  /// - fault plans and reliable delivery model DES timers, so they need the
+  ///   simulated backend; checkpoints need the simulated or process backend;
+  /// - full-electrostatics options must pass full_elec_error().
   ParallelSim(const Workload& workload, const ParallelOptions& opts);
   ~ParallelSim();
 
@@ -283,6 +302,10 @@ class ParallelSim {
   void rebuild_dataflow();
   void rebuild_reducer();
   void publish_coords(ExecContext& ctx, int patch);
+  /// kTiled: regathers the patch's slice of tiles_ from its current atoms
+  /// and positions (no-op for the other kernels).
+  void gather_tile(int patch);
+  TileView tile_of(int patch) const;
   void on_recv_coords(ExecContext& ctx, int patch, int pe);
   void run_compute(ExecContext& ctx, int compute);
   void complete_patch_on_pe(ExecContext& ctx, int patch, int pe);
@@ -362,10 +385,20 @@ class ParallelSim {
   std::vector<double> charges_;
   std::vector<int> lj_types_;
   std::unique_ptr<NonbondedContext> nb_ctx_;
-  // Tiled-kernel scratch (numeric mode, Workload::nonbonded.kernel !=
-  // scalar). One workspace per PE: under the threaded backend each PE's
-  // worker runs kernels concurrently, and the scratch must not be shared.
-  std::vector<TiledWorkspace> tiled_ws_;
+  // kTiled (numeric mode): every atom in SoA form, laid out in patch order
+  // (patch p's slice starts at tile_off_[p]; offsets follow the patch sizes
+  // and are laid out again by rebuild_dataflow). A patch's slice is
+  // regathered once per force round where the round's coordinates land
+  // (publish_coords on the home, the coords decoder on a remote process
+  // worker) and shared by every compute reading the patch that round. One
+  // allocation for the whole run. Derived state: never checkpointed,
+  // exported or flushed.
+  TileSoA tiles_;
+  std::vector<std::size_t> tile_off_;
+  // One kernel scratch per PE: under the threaded backend each PE's worker
+  // runs kernels concurrently, and the scratch must not be shared.
+  std::vector<TileScratch> tile_scratch_;
+  // kTiledThreads (simulated backend only).
   TiledThreadWorkspace tiled_mt_ws_;
   std::unique_ptr<ThreadPool> nb_pool_;
 

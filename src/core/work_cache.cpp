@@ -3,6 +3,7 @@
 #include <cmath>
 
 #include "ff/bonded.hpp"
+#include "ff/nonbonded_tiled.hpp"
 
 namespace scalemd {
 
@@ -17,6 +18,11 @@ WorkCache::WorkCache(const Molecule& mol, const Decomposition& decomp,
     types.push_back(a.lj_type);
   }
   const NonbondedContext ctx(mol.params, excl, charges, types, nb);
+  // The configured kernel, so the probe costs what the runtime will run.
+  // kTiledThreads runs its single-thread body here: both give the same
+  // counters, and a probe pass has no pool to fan out over.
+  const bool tiled = nb.kernel != NonbondedKernel::kScalar;
+  TiledWorkspace ws;
 
   // Patch-local gathered coordinates; throwaway force buffers.
   const auto& patch_atoms = decomp.patch_atoms();
@@ -40,8 +46,10 @@ WorkCache::WorkCache(const Molecule& mol, const Decomposition& decomp,
         const std::size_t n = patch_atoms[p].size();
         const auto b = static_cast<std::size_t>(std::lround(c.frac_begin * n));
         const auto e = static_cast<std::size_t>(std::lround(c.frac_end * n));
-        energy_ +=
-            nonbonded_self_range(ctx, patch_atoms[p], ppos[p], pfrc[p], b, e, w);
+        energy_ += tiled ? nonbonded_self_range_tiled(ctx, patch_atoms[p], ppos[p],
+                                                      pfrc[p], b, e, w, ws)
+                         : nonbonded_self_range(ctx, patch_atoms[p], ppos[p],
+                                                pfrc[p], b, e, w);
         break;
       }
       case ComputeKind::kPair: {
@@ -50,8 +58,12 @@ WorkCache::WorkCache(const Molecule& mol, const Decomposition& decomp,
         const std::size_t n = patch_atoms[pa].size();
         const auto b = static_cast<std::size_t>(std::lround(c.frac_begin * n));
         const auto e = static_cast<std::size_t>(std::lround(c.frac_end * n));
-        energy_ += nonbonded_ab_range(ctx, patch_atoms[pa], ppos[pa], pfrc[pa],
-                                      patch_atoms[pb], ppos[pb], pfrc[pb], b, e, w);
+        energy_ += tiled ? nonbonded_ab_range_tiled(ctx, patch_atoms[pa], ppos[pa],
+                                                    pfrc[pa], patch_atoms[pb],
+                                                    ppos[pb], pfrc[pb], b, e, w, ws)
+                         : nonbonded_ab_range(ctx, patch_atoms[pa], ppos[pa],
+                                              pfrc[pa], patch_atoms[pb], ppos[pb],
+                                              pfrc[pb], b, e, w);
         break;
       }
       case ComputeKind::kBonds:

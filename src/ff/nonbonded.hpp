@@ -46,7 +46,9 @@ const char* full_elec_error(const FullElecOptions& fe);
 struct NonbondedOptions {
   double cutoff = 12.0;       ///< A
   double switch_dist = 10.0;  ///< A
-  NonbondedKernel kernel = NonbondedKernel::kScalar;
+  /// kTiled everywhere by default; kScalar stays selectable as the
+  /// reference the other kernels are tested against.
+  NonbondedKernel kernel = NonbondedKernel::kTiled;
   /// Worker count for kTiledThreads; 0 means ThreadPool::default_threads().
   int threads = 0;
   FullElecOptions full_elec;

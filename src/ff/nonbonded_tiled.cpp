@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <cstdint>
 
 #include "util/units.hpp"
 
@@ -25,70 +26,110 @@ void GlobalLocalMap::begin(int atom_count) {
   }
 }
 
-void TileSoA::gather(const NonbondedContext& ctx, std::span<const int> idx,
-                     std::span<const Vec3> pos) {
-  n = idx.size();
-  x.resize(n);
-  y.resize(n);
-  z.resize(n);
-  q.resize(n);
-  type.resize(n);
-  global.assign(idx.begin(), idx.end());
-  for (std::size_t k = 0; k < n; ++k) {
-    x[k] = pos[k].x;
-    y[k] = pos[k].y;
-    z[k] = pos[k].z;
-    q[k] = ctx.charge(idx[k]);
-    type[k] = ctx.lj_type(idx[k]);
+void TileSoA::resize(std::size_t rows) {
+  n = rows;
+  x.resize(rows);
+  y.resize(rows);
+  z.resize(rows);
+  q.resize(rows);
+  type.resize(rows);
+  global.resize(rows);
+}
+
+void TileSoA::gather_at(std::size_t off, const NonbondedContext& ctx,
+                        std::span<const int> idx, std::span<const Vec3> pos) {
+  assert(off + idx.size() <= n);
+  for (std::size_t k = 0; k < idx.size(); ++k) {
+    x[off + k] = pos[k].x;
+    y[off + k] = pos[k].y;
+    z[off + k] = pos[k].z;
+    q[off + k] = ctx.charge(idx[k]);
+    type[off + k] = ctx.lj_type(idx[k]);
+    global[off + k] = idx[k];
   }
 }
 
+void TileSoA::gather(const NonbondedContext& ctx, std::span<const int> idx,
+                     std::span<const Vec3> pos) {
+  resize(idx.size());
+  gather_at(0, ctx, idx, pos);
+}
+
+TileView TileSoA::view(std::size_t off, std::size_t rows) const {
+  assert(off + rows <= n);
+  return {rows,          x.data() + off,    y.data() + off,      z.data() + off,
+          q.data() + off, type.data() + off, global.data() + off};
+}
+
 void TilePair::build_self(const NonbondedContext& ctx, std::span<const int> idx,
-                          std::span<const Vec3> pos, GlobalLocalMap& map) {
+                          std::span<const Vec3> pos, GlobalLocalMap& map,
+                          std::size_t i0, std::size_t i1) {
+  own_a_.gather(ctx, idx, pos);
+  a_ = b_ = own_a_.view();
   self_ = true;
-  a_.gather(ctx, idx, pos);
-  build_masks(ctx, map);
+  map.begin(ctx.exclusions().atom_count());
+  for (std::size_t j = 0; j < own_a_.n; ++j) map.set(own_a_.global[j], static_cast<int>(j));
+  build_masks(ctx, i0, i1, [&map](int g) { return map.find(g); });
 }
 
 void TilePair::build_ab(const NonbondedContext& ctx, std::span<const int> idx_a,
                         std::span<const Vec3> pos_a, std::span<const int> idx_b,
-                        std::span<const Vec3> pos_b, GlobalLocalMap& map) {
+                        std::span<const Vec3> pos_b, GlobalLocalMap& map,
+                        std::size_t i0, std::size_t i1) {
+  own_a_.gather(ctx, idx_a, pos_a);
+  own_b_.gather(ctx, idx_b, pos_b);
+  a_ = own_a_.view();
+  b_ = own_b_.view();
   self_ = false;
-  a_.gather(ctx, idx_a, pos_a);
-  b_.gather(ctx, idx_b, pos_b);
-  build_masks(ctx, map);
+  map.begin(ctx.exclusions().atom_count());
+  for (std::size_t j = 0; j < own_b_.n; ++j) map.set(own_b_.global[j], static_cast<int>(j));
+  build_masks(ctx, i0, i1, [&map](int g) { return map.find(g); });
 }
 
-void TilePair::build_masks(const NonbondedContext& ctx, GlobalLocalMap& map) {
-  const TileSoA& bt = b();
-  words_ = (bt.n + 63) / 64;
-  full_.assign(a_.n * words_, 0u);
-  mod_.assign(a_.n * words_, 0u);
-  row_masked_.assign(a_.n, 0);
+void TilePair::attach(const NonbondedContext& ctx, const TileView& a, const TileView* b,
+                      int b_set, std::span<const AtomSlot> where, std::size_t i0,
+                      std::size_t i1) {
+  a_ = a;
+  b_ = b != nullptr ? *b : a;
+  self_ = b == nullptr;
+  build_masks(ctx, i0, i1, [where, b_set](int g) {
+    const AtomSlot& s = where[static_cast<std::size_t>(g)];
+    return s.first == b_set ? s.second : -1;
+  });
+}
 
-  map.begin(ctx.exclusions().atom_count());
-  for (std::size_t j = 0; j < bt.n; ++j) map.set(bt.global[j], static_cast<int>(j));
+template <class Find>
+void TilePair::build_masks(const NonbondedContext& ctx, std::size_t i0, std::size_t i1,
+                           const Find& find) {
+  assert(i0 <= i1 && i1 <= a_.n);
+  row0_ = i0;
+  row1_ = i1;
+  const std::size_t rows = i1 - i0;
+  words_ = (b_.n + 63) / 64;
+  full_.assign(rows * words_, 0u);
+  mod_.assign(rows * words_, 0u);
+  row_masked_.assign(rows, 0);
 
-  for (std::size_t i = 0; i < a_.n; ++i) {
-    const int gi = a_.global[i];
+  for (std::size_t r = 0; r < rows; ++r) {
+    const int gi = a_.global[i0 + r];
     bool any = false;
     for (int g : ctx.exclusions().excluded(gi)) {
-      const int j = map.find(g);
+      const int j = find(g);
       if (j >= 0) {
-        full_[i * words_ + static_cast<std::size_t>(j) / 64] |=
+        full_[r * words_ + static_cast<std::size_t>(j) / 64] |=
             std::uint64_t{1} << (static_cast<std::size_t>(j) & 63);
         any = true;
       }
     }
     for (int g : ctx.exclusions().modified(gi)) {
-      const int j = map.find(g);
+      const int j = find(g);
       if (j >= 0) {
-        mod_[i * words_ + static_cast<std::size_t>(j) / 64] |=
+        mod_[r * words_ + static_cast<std::size_t>(j) / 64] |=
             std::uint64_t{1} << (static_cast<std::size_t>(j) & 63);
         any = true;
       }
     }
-    row_masked_[i] = any ? 1 : 0;
+    row_masked_[r] = any ? 1 : 0;
   }
 }
 
@@ -292,16 +333,17 @@ EnergyTerms TilePair::eval_rows(const NonbondedContext& ctx, std::size_t i0,
                                 std::size_t i1, double* fax, double* fay, double* faz,
                                 double* fbx, double* fby, double* fbz, RowScratch& rs,
                                 WorkCounters& work) const {
-  const TileSoA& at = a_;
-  const TileSoA& bt = b();
+  assert(row0_ <= i0 && i1 <= row1_);
+  const TileView& at = a_;
+  const TileView& bt = b_;
   const KernelConsts kc(ctx);
   const double s14 = ctx.params().scale14;
   rs.ensure(bt.n);
-  const double* __restrict bx = bt.x.data();
-  const double* __restrict by = bt.y.data();
-  const double* __restrict bz = bt.z.data();
-  const double* bq = bt.q.data();
-  const int* btype = bt.type.data();
+  const double* __restrict bx = bt.x;
+  const double* __restrict by = bt.y;
+  const double* __restrict bz = bt.z;
+  const double* bq = bt.q;
+  const int* btype = bt.type;
   double* __restrict rr = rs.rr.data();
   int* __restrict pj = rs.pj.data();
 
@@ -331,13 +373,14 @@ EnergyTerms TilePair::eval_rows(const NonbondedContext& ctx, std::size_t i0,
     // Pass 1b: compaction of the surviving partner indices — a compress
     // store (or, without AVX-512, a conditional increment) instead of a
     // 15%-taken branch the predictor would keep missing.
-    const bool masked = row_masked_[i] != 0;
+    const std::size_t r = i - row0_;
+    const bool masked = row_masked_[r] != 0;
     const std::size_t np = compact_row(rr, jb, jn, kc.cutoff2,
-                                       full_.data() + i * words_, masked, pj);
+                                       full_.data() + r * words_, masked, pj);
     computed += np;
 
     // Pass 1c: gather the survivors' pair data into packed SoA.
-    const std::uint64_t* mr = mod_.data() + i * words_;
+    const std::uint64_t* mr = mod_.data() + r * words_;
     for (std::size_t k = 0; k < np; ++k) {
       const auto j = static_cast<std::size_t>(pj[k]);
       rs.pdx[k] = xi - bx[j];
@@ -385,18 +428,56 @@ EnergyTerms TilePair::eval_rows(const NonbondedContext& ctx, std::size_t i0,
 
 namespace {
 
+/// Zeroes rows [b, e) of an SoA force accumulator sized for n rows.
 void zero3(std::vector<double>& x, std::vector<double>& y, std::vector<double>& z,
-           std::size_t n) {
-  x.assign(n, 0.0);
-  y.assign(n, 0.0);
-  z.assign(n, 0.0);
+           std::size_t n, std::size_t b = 0, std::size_t e = SIZE_MAX) {
+  x.resize(n);
+  y.resize(n);
+  z.resize(n);
+  e = std::min(e, n);
+  std::fill(x.begin() + b, x.begin() + e, 0.0);
+  std::fill(y.begin() + b, y.begin() + e, 0.0);
+  std::fill(z.begin() + b, z.begin() + e, 0.0);
 }
 
+/// Adds rows [b, e) of an SoA force accumulator into `f`.
 void scatter3(std::span<Vec3> f, const std::vector<double>& x,
-              const std::vector<double>& y, const std::vector<double>& z) {
-  for (std::size_t j = 0; j < f.size(); ++j) {
+              const std::vector<double>& y, const std::vector<double>& z,
+              std::size_t b = 0, std::size_t e = SIZE_MAX) {
+  e = std::min(e, f.size());
+  for (std::size_t j = b; j < e; ++j) {
     f[j] += Vec3{x[j], y[j], z[j]};
   }
+}
+
+/// Self-set evaluation once `ws.pair` is built: rows [i0, i1) touch force
+/// rows [i0, n) only (partners are j > i), so only those are zeroed and
+/// scattered. The untouched rows would add +0.0, which changes no bit of a
+/// caller's buffer unless it holds -0.0.
+EnergyTerms eval_self(const NonbondedContext& ctx, std::span<Vec3> f, std::size_t i0,
+                      std::size_t i1, WorkCounters& work, TileScratch& ws) {
+  const std::size_t n = ws.pair.a().n;
+  zero3(ws.fax, ws.fay, ws.faz, n, i0);
+  const EnergyTerms e =
+      ws.pair.eval_rows(ctx, i0, i1, ws.fax.data(), ws.fay.data(), ws.faz.data(),
+                        ws.fax.data(), ws.fay.data(), ws.faz.data(), ws.row, work);
+  scatter3(f, ws.fax, ws.fay, ws.faz, i0);
+  return e;
+}
+
+/// Set-pair evaluation once `ws.pair` is built: rows [a0, a1) of a against
+/// all of b.
+EnergyTerms eval_ab(const NonbondedContext& ctx, std::span<Vec3> f_a,
+                    std::span<Vec3> f_b, std::size_t a0, std::size_t a1,
+                    WorkCounters& work, TileScratch& ws) {
+  zero3(ws.fax, ws.fay, ws.faz, ws.pair.a().n, a0, a1);
+  zero3(ws.fbx, ws.fby, ws.fbz, ws.pair.b().n);
+  const EnergyTerms e =
+      ws.pair.eval_rows(ctx, a0, a1, ws.fax.data(), ws.fay.data(), ws.faz.data(),
+                        ws.fbx.data(), ws.fby.data(), ws.fbz.data(), ws.row, work);
+  scatter3(f_a, ws.fax, ws.fay, ws.faz, a0, a1);
+  scatter3(f_b, ws.fbx, ws.fby, ws.fbz);
+  return e;
 }
 
 }  // namespace
@@ -413,14 +494,8 @@ EnergyTerms nonbonded_self_range_tiled(const NonbondedContext& ctx,
                                        std::size_t i_begin, std::size_t i_end,
                                        WorkCounters& work, TiledWorkspace& ws) {
   assert(i_end <= idx.size());
-  ws.pair.build_self(ctx, idx, pos, ws.map);
-  zero3(ws.fax, ws.fay, ws.faz, idx.size());
-  const EnergyTerms e =
-      ws.pair.eval_rows(ctx, i_begin, i_end, ws.fax.data(), ws.fay.data(),
-                        ws.faz.data(), ws.fax.data(), ws.fay.data(), ws.faz.data(),
-                        ws.row, work);
-  scatter3(f, ws.fax, ws.fay, ws.faz);
-  return e;
+  ws.pair.build_self(ctx, idx, pos, ws.map, i_begin, i_end);
+  return eval_self(ctx, f, i_begin, i_end, work, ws);
 }
 
 EnergyTerms nonbonded_ab_tiled(const NonbondedContext& ctx, std::span<const int> idx_a,
@@ -440,16 +515,29 @@ EnergyTerms nonbonded_ab_range_tiled(const NonbondedContext& ctx,
                                      std::size_t a_begin, std::size_t a_end,
                                      WorkCounters& work, TiledWorkspace& ws) {
   assert(a_end <= idx_a.size());
-  ws.pair.build_ab(ctx, idx_a, pos_a, idx_b, pos_b, ws.map);
-  zero3(ws.fax, ws.fay, ws.faz, idx_a.size());
-  zero3(ws.fbx, ws.fby, ws.fbz, idx_b.size());
-  const EnergyTerms e =
-      ws.pair.eval_rows(ctx, a_begin, a_end, ws.fax.data(), ws.fay.data(),
-                        ws.faz.data(), ws.fbx.data(), ws.fby.data(), ws.fbz.data(),
-                        ws.row, work);
-  scatter3(f_a, ws.fax, ws.fay, ws.faz);
-  scatter3(f_b, ws.fbx, ws.fby, ws.fbz);
-  return e;
+  ws.pair.build_ab(ctx, idx_a, pos_a, idx_b, pos_b, ws.map, a_begin, a_end);
+  return eval_ab(ctx, f_a, f_b, a_begin, a_end, work, ws);
+}
+
+EnergyTerms nonbonded_self_tile_range(const NonbondedContext& ctx, const TileView& a,
+                                      int a_set, std::span<const AtomSlot> where,
+                                      std::span<Vec3> f, std::size_t i_begin,
+                                      std::size_t i_end, WorkCounters& work,
+                                      TileScratch& ws) {
+  assert(i_end <= a.n && f.size() == a.n);
+  ws.pair.attach(ctx, a, nullptr, a_set, where, i_begin, i_end);
+  return eval_self(ctx, f, i_begin, i_end, work, ws);
+}
+
+EnergyTerms nonbonded_ab_tile_range(const NonbondedContext& ctx, const TileView& a,
+                                    std::span<Vec3> f_a, const TileView& b, int b_set,
+                                    std::span<const AtomSlot> where,
+                                    std::span<Vec3> f_b, std::size_t a_begin,
+                                    std::size_t a_end, WorkCounters& work,
+                                    TileScratch& ws) {
+  assert(a_end <= a.n && f_a.size() == a.n && f_b.size() == b.n);
+  ws.pair.attach(ctx, a, &b, b_set, where, a_begin, a_end);
+  return eval_ab(ctx, f_a, f_b, a_begin, a_end, work, ws);
 }
 
 namespace {
@@ -468,7 +556,7 @@ EnergyTerms nonbonded_self_range_tiled_mt(const NonbondedContext& ctx,
                                           WorkCounters& work, TiledThreadWorkspace& ws,
                                           ThreadPool& pool) {
   assert(i_end <= idx.size());
-  ws.shared.pair.build_self(ctx, idx, pos, ws.shared.map);
+  ws.shared.pair.build_self(ctx, idx, pos, ws.shared.map, i_begin, i_end);
   const std::size_t n = idx.size();
   const std::size_t rows = i_end > i_begin ? i_end - i_begin : 0;
   const std::size_t nchunks = (rows + kChunkRows - 1) / kChunkRows;
@@ -507,7 +595,8 @@ EnergyTerms nonbonded_ab_range_tiled_mt(const NonbondedContext& ctx,
                                         WorkCounters& work, TiledThreadWorkspace& ws,
                                         ThreadPool& pool) {
   assert(a_end <= idx_a.size());
-  ws.shared.pair.build_ab(ctx, idx_a, pos_a, idx_b, pos_b, ws.shared.map);
+  ws.shared.pair.build_ab(ctx, idx_a, pos_a, idx_b, pos_b, ws.shared.map, a_begin,
+                          a_end);
   const std::size_t rows = a_end > a_begin ? a_end - a_begin : 0;
   const std::size_t nchunks = (rows + kChunkRows - 1) / kChunkRows;
   ws.workers.resize(static_cast<std::size_t>(pool.size()));

@@ -99,8 +99,8 @@ ScenarioSpec generate_scenario(std::uint64_t master_seed, int index) {
   s.lb = kLbs[rng.uniform_index(6)];
 
   // kTiledThreads is excluded: every spec also runs on the threaded backend,
-  // where the runtime forbids it (nested thread pools; see the ParallelSim
-  // constructor assert). validate_scenario enforces the same rule.
+  // where the runtime rejects it (nested thread pools; ParallelSim throws
+  // ParallelConfigError). validate_scenario enforces the same rule.
   constexpr NonbondedKernel kKernels[] = {NonbondedKernel::kScalar,
                                           NonbondedKernel::kTiled};
   s.kernel = kKernels[rng.uniform_index(2)];

@@ -39,7 +39,7 @@ struct ScenarioSpec {
   /// only a fraction of the campaign.
   int process_workers = 0;
   LbStrategyKind lb = LbStrategyKind::kNone;
-  NonbondedKernel kernel = NonbondedKernel::kScalar;
+  NonbondedKernel kernel = NonbondedOptions{}.kernel;
   double dt_fs = 1.0;
   int cycles = 2;          ///< run_cycle calls
   int steps = 2;           ///< timesteps per cycle

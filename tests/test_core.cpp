@@ -2,11 +2,13 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string>
 
 #include "core/compute_plan.hpp"
 #include "core/decomposition.hpp"
 #include "core/parallel_sim.hpp"
 #include "core/work_cache.hpp"
+#include "des/fault.hpp"
 #include "trace/summary.hpp"
 #include "gen/presets.hpp"
 #include "gen/water_box.hpp"
@@ -310,6 +312,75 @@ TEST_F(CoreFixture, StepTimingAccessorsClampOutOfRangeArguments) {
   EXPECT_EQ(sim.step_completion_at(n - 1), sim.step_completion()[n - 1]);
   EXPECT_EQ(sim.step_completion_at(n), 0.0);
   EXPECT_EQ(sim.step_completion_at(-1), 0.0);
+}
+
+// Configurations the runtime cannot run are named errors in every build:
+// the unit label is built with -DNDEBUG, so this pins release behaviour.
+TEST(ParallelConfigTest, RejectsUnrunnableConfigurationsWithNamedErrors) {
+  Molecule mol = make_water_box({24, 24, 24}, 5);
+  mol.suggested_patch_size = 8.0;
+  NonbondedOptions nb;
+  nb.cutoff = 6.5;
+  nb.switch_dist = 5.5;
+  const Workload tiled(mol, MachineModel::asci_red(), nb);
+  nb.kernel = NonbondedKernel::kTiledThreads;
+  const Workload nested(mol, MachineModel::asci_red(), nb);
+
+  // The error names the broken rule; `rule` is a word of that name.
+  const auto rejects = [](const Workload& wl, const ParallelOptions& o,
+                          const char* rule) {
+    try {
+      ParallelSim sim(wl, o);
+      ADD_FAILURE() << "accepted; expected an error naming '" << rule << "'";
+    } catch (const ParallelConfigError& e) {
+      EXPECT_NE(std::string(e.what()).find(rule), std::string::npos) << e.what();
+    }
+  };
+  ParallelOptions threads;
+  threads.num_pes = 4;
+  threads.threads = 4;
+  threads.numeric = true;
+  threads.backend = BackendKind::kThreaded;
+  ParallelOptions process = threads;
+  process.backend = BackendKind::kProcess;
+  ParallelOptions des = threads;
+  des.backend = BackendKind::kSimulated;
+
+  // Kernel nesting on both real backends; the DES runs it.
+  rejects(nested, threads, "nest thread pools");
+  rejects(nested, process, "nest thread pools");
+  EXPECT_NO_THROW({ ParallelSim sim(nested, des); });
+
+  // DES-only layers, and frozen mode, on both real backends.
+  for (const ParallelOptions& real : {threads, process}) {
+    ParallelOptions o = real;
+    o.fault = FaultPlan::chaos(3);
+    rejects(tiled, o, "fault plans");
+    o = real;
+    o.reliable = true;
+    rejects(tiled, o, "reliable delivery");
+    o = real;
+    o.numeric = false;
+    rejects(tiled, o, "numeric mode");
+  }
+  // Checkpoints run on the process backend (constructing it forks
+  // nothing), not on the threaded one.
+  ParallelOptions ckpt = threads;
+  ckpt.checkpoint_every = 1;
+  rejects(tiled, ckpt, "checkpoints");
+  ckpt.backend = BackendKind::kProcess;
+  EXPECT_NO_THROW({ ParallelSim sim(tiled, ckpt); });
+
+  // Invalid full electrostatics: rejected before the probe pass runs a
+  // kernel, and again by the sim if a workload is edited afterwards.
+  NonbondedOptions bad = tiled.nonbonded;
+  bad.full_elec.enabled = true;
+  bad.full_elec.grid_x = 30;
+  EXPECT_THROW({ Workload wl(mol, MachineModel::asci_red(), bad); },
+               ParallelConfigError);
+  Workload edited(mol, MachineModel::asci_red(), tiled.nonbonded);
+  edited.nonbonded.full_elec = bad.full_elec;
+  rejects(edited, des, "grid_x");
 }
 
 TEST(ComputePlanTest, SplittingReducesMaxGrainEstimate) {

@@ -191,6 +191,95 @@ TEST(TiledKernelTest, ThreadedRangeMatchesSerialTiled) {
 }
 
 // ---------------------------------------------------------------------------
+// Runtime path: tiles gathered once by the caller, masks for the evaluated
+// rows only, exclusion partners located through an atom-slot table. It must
+// reproduce the gather-based entry points bit for bit, split ranges
+// included (ParallelSim runs split computes through it).
+// ---------------------------------------------------------------------------
+
+bool same_bits(std::span<const Vec3> a, std::span<const Vec3> b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(Vec3)) == 0;
+}
+
+TEST(TiledKernelTest, RuntimeTilesReproduceGatherPathBitwise) {
+  NonbondedOptions opts;
+  opts.cutoff = 7.5;
+  opts.switch_dist = 6.5;
+  KernelSystem sys(small_solvated_chain(600, 23), opts);
+  const int n = sys.mol.atom_count();
+  // Interleaved split: bonds and 1-4 pairs cross the a/b boundary, and
+  // neither set is a contiguous id range.
+  std::vector<int> ia, ib;
+  for (int i = 0; i < n; ++i) ((i / 5) % 2 == 0 ? ia : ib).push_back(i);
+  std::vector<Vec3> pa, pb;
+  for (int i : ia) pa.push_back(sys.mol.positions()[static_cast<std::size_t>(i)]);
+  for (int i : ib) pb.push_back(sys.mol.positions()[static_cast<std::size_t>(i)]);
+  std::vector<AtomSlot> where(static_cast<std::size_t>(n));
+  for (std::size_t i = 0; i < ia.size(); ++i) {
+    where[static_cast<std::size_t>(ia[i])] = {0, static_cast<int>(i)};
+  }
+  for (std::size_t j = 0; j < ib.size(); ++j) {
+    where[static_cast<std::size_t>(ib[j])] = {1, static_cast<int>(j)};
+  }
+  // Both sets in one storage, b's slice after a's, as the runtime lays out
+  // its patches.
+  TileSoA tiles;
+  tiles.resize(ia.size() + ib.size());
+  tiles.gather_at(0, *sys.ctx, ia, pa);
+  tiles.gather_at(ia.size(), *sys.ctx, ib, pb);
+  const TileView ta = tiles.view(0, ia.size());
+  const TileView tb = tiles.view(ia.size(), ib.size());
+
+  // One gather workspace and one runtime scratch reused across every call,
+  // so stale masks from a differently shaped call would show.
+  TiledWorkspace ws;
+  TileScratch scratch;
+  const std::size_t na = ia.size();
+  const std::vector<std::pair<std::size_t, std::size_t>> pieces = {
+      {0, na}, {0, na / 3}, {na / 3, na / 3 + 37}, {na / 3 + 37, na}, {na, na}};
+
+  std::vector<Vec3> fa_ref(na), fa_got(na), fb_ref(ib.size()), fb_got(ib.size());
+  std::vector<Vec3> fs_ref(na), fs_got(na);
+  WorkCounters w_ref, w_got;
+  for (const auto& [b, e] : pieces) {
+    const EnergyTerms ab_ref = nonbonded_ab_range_tiled(
+        *sys.ctx, ia, pa, fa_ref, ib, pb, fb_ref, b, e, w_ref, ws);
+    const EnergyTerms ab_got = nonbonded_ab_tile_range(
+        *sys.ctx, ta, fa_got, tb, 1, where, fb_got, b, e, w_got, scratch);
+    EXPECT_EQ(ab_got.lj, ab_ref.lj) << "ab rows " << b << ".." << e;
+    EXPECT_EQ(ab_got.elec, ab_ref.elec) << "ab rows " << b << ".." << e;
+
+    const EnergyTerms self_ref =
+        nonbonded_self_range_tiled(*sys.ctx, ia, pa, fs_ref, b, e, w_ref, ws);
+    const EnergyTerms self_got = nonbonded_self_tile_range(
+        *sys.ctx, ta, 0, where, fs_got, b, e, w_got, scratch);
+    EXPECT_EQ(self_got.lj, self_ref.lj) << "self rows " << b << ".." << e;
+    EXPECT_EQ(self_got.elec, self_ref.elec) << "self rows " << b << ".." << e;
+  }
+  EXPECT_TRUE(same_bits(fa_got, fa_ref));
+  EXPECT_TRUE(same_bits(fb_got, fb_ref));
+  EXPECT_TRUE(same_bits(fs_got, fs_ref));
+  EXPECT_EQ(w_got.pairs_tested, w_ref.pairs_tested);
+  EXPECT_EQ(w_got.pairs_computed, w_ref.pairs_computed);
+  EXPECT_GT(w_got.pairs_computed, 0u);
+
+  // The sets do share exclusions: the runtime path must still agree with the
+  // scalar reference on them (within rounding), not just with itself.
+  std::vector<Vec3> fa_s(na), fb_s(ib.size());
+  WorkCounters w_s;
+  const EnergyTerms e_s =
+      nonbonded_ab(*sys.ctx, ia, pa, fa_s, ib, pb, fb_s, w_s);
+  std::vector<Vec3> fa_t(na), fb_t(ib.size());
+  WorkCounters w_t;
+  const EnergyTerms e_t = nonbonded_ab_tile_range(*sys.ctx, ta, fa_t, tb, 1, where,
+                                                  fb_t, 0, na, w_t, scratch);
+  expect_energy_close(e_t, e_s);
+  expect_forces_close(fa_t, fa_s);
+  expect_forces_close(fb_t, fb_s);
+}
+
+// ---------------------------------------------------------------------------
 // Engine-level equivalence: all kernels, both evaluation paths.
 // ---------------------------------------------------------------------------
 
@@ -335,9 +424,52 @@ TEST(TiledCoreTest, ParallelSimNumericForcesMatchAcrossKernels) {
   expect_forces_close(forces_with(NonbondedKernel::kTiledThreads), ref);
 }
 
+// Frozen mode (the paper tables) prices tasks from the Workload's probe and
+// work passes. Those now run the configured kernel, so the kernels must
+// agree on every counter: same splits, same per-compute work, same virtual
+// step times bit for bit.
+TEST(TiledCoreTest, FrozenModeIsIndependentOfTheKernel) {
+  Molecule m = small_solvated_chain(1500, 31);
+  m.suggested_patch_size = 8.0;
+  NonbondedOptions nb;
+  nb.cutoff = 7.5;
+  nb.switch_dist = 6.5;
+  nb.kernel = NonbondedKernel::kScalar;
+  const Workload scalar(m, MachineModel::asci_red(), nb);
+  nb.kernel = NonbondedKernel::kTiled;
+  const Workload tiled(m, MachineModel::asci_red(), nb);
+
+  ASSERT_EQ(tiled.plan.computes().size(), scalar.plan.computes().size());
+  ASSERT_GT(scalar.mol->bonds().size(), 0u);
+  for (std::size_t i = 0; i < scalar.plan.computes().size(); ++i) {
+    const WorkCounters& s = scalar.work.per_compute(i);
+    const WorkCounters& t = tiled.work.per_compute(i);
+    EXPECT_EQ(t.pairs_tested, s.pairs_tested) << "compute " << i;
+    EXPECT_EQ(t.pairs_computed, s.pairs_computed) << "compute " << i;
+    EXPECT_EQ(t.bonded_terms, s.bonded_terms) << "compute " << i;
+    EXPECT_EQ(t.atoms_integrated, s.atoms_integrated) << "compute " << i;
+  }
+  for (int pes : {1, 4, 16, 64}) {
+    const auto step_time = [pes](const Workload& wl) {
+      ParallelOptions opts;
+      opts.num_pes = pes;
+      ParallelSim sim(wl, opts);
+      return sim.run_benchmark(2, 3);
+    };
+    const double s = step_time(scalar);
+    const double t = step_time(tiled);
+    EXPECT_EQ(std::memcmp(&s, &t, sizeof(double)), 0)
+        << pes << " PEs: scalar " << s << " vs tiled " << t;
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Option helpers.
 // ---------------------------------------------------------------------------
+
+TEST(TiledKernelTest, TiledIsTheDefaultKernel) {
+  EXPECT_EQ(NonbondedOptions{}.kernel, NonbondedKernel::kTiled);
+}
 
 TEST(TiledKernelTest, KernelNamesRoundTrip) {
   for (NonbondedKernel k : {NonbondedKernel::kScalar, NonbondedKernel::kTiled,

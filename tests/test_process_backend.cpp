@@ -8,12 +8,16 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "check/golden.hpp"
 #include "check/invariants.hpp"
+#include "core/parallel_sim.hpp"
 #include "fuzz/differential.hpp"
+#include "gen/water_box.hpp"
 #include "rts/process_backend.hpp"
 #include "rts/wire.hpp"
 
@@ -319,6 +323,96 @@ TEST(ProcessDiffTest, ChainMatchesDesBitwise) {
   proc.process_workers = 2;
   const Trajectory got = run_parallel("chain", proc);
   expect_bitwise(got, ref, "chain process vs DES");
+}
+
+// On the default kernel the runtime keeps each patch's atoms as an SoA tile,
+// regathered every force round where the coordinates land: on the home in
+// publish_coords, and in the coords decoder of a worker the patch's
+// coordinates reach over the wire. One run crosses every point where a stale
+// tile would show — atoms migrating between patches, greedy LB moving
+// computes, an export_state/import_state round trip into a fresh sim, and
+// forked workers — and must match the DES bit for bit on every backend.
+TEST(ProcessDiffTest, DefaultKernelTilesSurviveMigrationLbAndStateRoundTrip) {
+  Molecule mol = make_water_box({20.0, 20.0, 20.0}, /*seed=*/9);
+  mol.assign_velocities(300.0, /*seed=*/5);
+  mol.suggested_patch_size = 7.0;
+  NonbondedOptions nb;
+  nb.cutoff = 6.5;
+  nb.switch_dist = 5.5;
+  ASSERT_EQ(nb.kernel, NonbondedKernel::kTiled);
+  const Workload wl(mol, MachineModel::asci_red(), nb);
+  nb.kernel = NonbondedKernel::kScalar;
+  const Workload scalar_wl(mol, MachineModel::asci_red(), nb);
+
+  struct Result {
+    std::vector<double> potential;
+    std::vector<Vec3> pos;
+    bool lb_moved = false;
+  };
+  const auto run = [](BackendKind backend, const Workload& workload) {
+    ParallelOptions o;
+    o.num_pes = 4;
+    o.numeric = true;
+    o.backend = backend;
+    o.threads = 2;
+    o.process.workers = 2;
+    o.lb.kind = LbStrategyKind::kGreedy;
+    Result r;
+    auto sim = std::make_unique<ParallelSim>(workload, o);
+    sim->run_cycle(3);
+    const std::vector<int> placed = sim->compute_pe();
+    sim->load_balance();
+    r.lb_moved = sim->compute_pe() != placed;
+    sim->run_cycle(3);
+    const std::vector<std::uint8_t> blob = sim->export_state();
+    sim = std::make_unique<ParallelSim>(workload, o);
+    sim->import_state(blob);
+    sim->run_cycle(3);
+    EXPECT_TRUE(sim->last_cycle_complete()) << backend_name(backend);
+    for (int s = 0; s <= sim->total_steps(); ++s) {
+      r.potential.push_back(sim->potential_at_step(s));
+    }
+    r.pos = sim->gather_positions();
+    return r;
+  };
+
+  const Result des = run(BackendKind::kSimulated, wl);
+  EXPECT_TRUE(des.lb_moved);
+  // Atoms really changed patches (migrate_atoms ran with movers).
+  std::vector<int> home_patch(des.pos.size());
+  for (std::size_t p = 0; p < wl.decomp.patch_atoms().size(); ++p) {
+    for (int a : wl.decomp.patch_atoms()[p]) {
+      home_patch[static_cast<std::size_t>(a)] = static_cast<int>(p);
+    }
+  }
+  int migrated = 0;
+  for (std::size_t a = 0; a < des.pos.size(); ++a) {
+    migrated += wl.decomp.grid().cell_of(des.pos[a]) != home_patch[a];
+  }
+  EXPECT_GT(migrated, 0);
+
+  // Every backend sharing one stale tile would still agree bitwise; the
+  // scalar reference, which keeps no tiles, agrees to summation-order
+  // rounding.
+  const Result ref = run(BackendKind::kSimulated, scalar_wl);
+  for (std::size_t a = 0; a < des.pos.size(); ++a) {
+    EXPECT_LT(norm(des.pos[a] - ref.pos[a]), 1e-9) << "atom " << a;
+  }
+
+  for (BackendKind backend : {BackendKind::kThreaded, BackendKind::kProcess}) {
+    const Result got = run(backend, wl);
+    ASSERT_EQ(got.potential.size(), des.potential.size());
+    for (std::size_t s = 0; s < des.potential.size(); ++s) {
+      EXPECT_EQ(std::memcmp(&got.potential[s], &des.potential[s], sizeof(double)), 0)
+          << backend_name(backend) << " step " << s << ": " << got.potential[s]
+          << " vs DES " << des.potential[s];
+    }
+    ASSERT_EQ(got.pos.size(), des.pos.size());
+    EXPECT_EQ(std::memcmp(got.pos.data(), des.pos.data(),
+                          des.pos.size() * sizeof(Vec3)),
+              0)
+        << backend_name(backend) << " positions differ from the DES";
+  }
 }
 
 // ---------------------------------------------------------------------------

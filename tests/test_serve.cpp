@@ -100,6 +100,19 @@ TEST(ServeBatchTest, ErrorsCarryJobIndexNameAndLocation) {
       << err.render();
 }
 
+// A job that names no kernel (examples/serve_sweep.txt names none) runs the
+// library's default kernel, like every other entry point.
+TEST(ServeBatchTest, JobsWithoutAKernelLineGetTheLibraryDefault) {
+  BatchSpec batch;
+  BatchParseError err;
+  ASSERT_TRUE(parse_batch("job plain\ncycles 2\nend\njob ref\nkernel scalar\nend\n",
+                          "k.txt", batch, err))
+      << err.render();
+  ASSERT_EQ(batch.jobs.size(), 2u);
+  EXPECT_EQ(batch.jobs[0].scenario.kernel, NonbondedOptions{}.kernel);
+  EXPECT_EQ(batch.jobs[1].scenario.kernel, NonbondedKernel::kScalar);
+}
+
 TEST(ServeBatchTest, ValidationErrorsAtEndStillNameTheJob) {
   // pes out of range is only detectable when the block closes.
   const std::string text =

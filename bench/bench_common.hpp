@@ -5,9 +5,13 @@
 // the published ones. Absolute times come from a calibrated machine model
 // (see EXPERIMENTS.md); the claim under test is the *shape* of each result.
 
+#include <algorithm>
+#include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <functional>
 #include <map>
 #include <string>
 #include <vector>
@@ -24,8 +28,8 @@ namespace scalemd::bench {
 /// on machine-readable output in the scalemd-bench report schema (stdout
 /// unless a path is given); `--reps`/`--warmup` configure the BenchRunner
 /// for the wall-clock binaries (ignored by deterministic model sweeps).
-/// Unrecognized arguments land in `passthrough` (argv[0] first) for
-/// binaries that forward to google-benchmark.
+/// Unrecognized arguments land in `passthrough` (argv[0] first) for the
+/// binary's own flags.
 struct CommonArgs {
   perf::BenchOptions bench;  ///< reps / warmup
   bool json = false;
@@ -87,6 +91,32 @@ inline int emit_report(const CommonArgs& a, const perf::BenchReport& report) {
   }
   std::printf("wrote %s\n", a.out.c_str());
   return 0;
+}
+
+/// Keeps a benchmarked result alive so the optimizer cannot drop the call.
+inline volatile double keep_sink;
+inline void keep(double v) { keep_sink = v; }
+
+/// Times `fn` through `runner` ("seconds_per_call"), each sample averaging
+/// enough back-to-back calls to span ~2 ms, so sub-microsecond bodies rise
+/// above clock jitter.
+inline perf::BenchRecord& time_calibrated(perf::BenchRunner& runner,
+                                          const std::string& name,
+                                          const std::function<void()>& fn) {
+  const auto t0 = std::chrono::steady_clock::now();
+  fn();
+  const double est =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
+  const int batch =
+      static_cast<int>(std::clamp(std::ceil(2e-3 / std::max(est, 1e-9)), 1.0, 1e6));
+  return runner.time_batch(name, "seconds_per_call", batch, fn).param("batch", batch);
+}
+
+/// Prints one line per record: name, median and unit.
+inline void print_records(const std::vector<perf::BenchRecord>& records) {
+  for (const perf::BenchRecord& r : records) {
+    std::printf("%-52s %12.4g %s\n", r.name.c_str(), r.median, r.unit.c_str());
+  }
 }
 
 /// Published (processors -> s/step) reference series for one paper table.

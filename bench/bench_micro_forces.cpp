@@ -1,9 +1,11 @@
 // Micro-benchmarks of the force kernels, in two modes.
 //
-// Default (google-benchmark): non-bonded self/pair evaluation as a function
-// of atom count — scalar and tiled — plus each bonded term. These measure
-// this host's real kernel throughput; the paper-reproduction tables use the
-// calibrated 1999 machine models instead.
+// Default: per-layer kernel records through the shared BenchRunner —
+// non-bonded self/pair evaluation as a function of atom count (scalar and
+// tiled), each bonded term, and the exclusion lookup — printed one line
+// per record ("layers/..."). These measure this host's real kernel
+// throughput; the paper-reproduction tables use the calibrated 1999
+// machine models instead.
 //
 // Comparison mode (`--compare`, implied by `--json`/`--out`): builds one
 // ApoA-I-scale water box, runs full SequentialEngine force evaluations under
@@ -14,8 +16,6 @@
 // Options: --box <side A> (default 97), --reps/--warmup (BenchRunner
 // defaults), --threads <n> (default 4). SCALEMD_BENCH_SCALE < 1 shrinks the
 // box for smoke runs.
-
-#include <benchmark/benchmark.h>
 
 #include <cmath>
 #include <cstdio>
@@ -69,120 +69,95 @@ struct KernelSetup {
   std::unique_ptr<NonbondedContext> ctx;
 };
 
-void BM_NonbondedSelf(benchmark::State& state) {
-  KernelSetup s(static_cast<int>(state.range(0)));
-  WorkCounters w;
-  for (auto _ : state) {
-    std::fill(s.frc.begin(), s.frc.end(), Vec3{});
-    const EnergyTerms e = nonbonded_self(*s.ctx, s.idx, s.pos, s.frc, w);
-    benchmark::DoNotOptimize(e);
+/// Records the kernel layer: non-bonded calls by atom count, scalar and
+/// tiled side by side (a tiled call reads tiles gathered beforehand, as
+/// every caller gathers them once per force evaluation), each bonded term,
+/// and the exclusion lookup.
+void run_layers(const perf::BenchOptions& opts) {
+  perf::BenchRunner runner(opts);
+  // `call(w)` evaluates once, counting into w.
+  const auto time_kernel = [&](const std::string& name, const auto& call) {
+    WorkCounters w;
+    perf::BenchRecord& rec = bench::time_calibrated(runner, name, [&] {
+      w = {};
+      bench::keep(call(w).total());
+    });
+    rec.param("pairs_per_call", static_cast<double>(w.pairs_tested))
+        .param("pairs_per_sec", static_cast<double>(w.pairs_tested) / rec.median);
+  };
+  for (int n : {64, 256, 1024}) {
+    KernelSetup s(n);
+    SetLayout layout;
+    layout.clear(n);
+    layout.add(s.idx, s.pos);
+    layout.gather_tiles(*s.ctx);
+    TileScratch scratch;
+    const std::string size = "/atoms=" + std::to_string(n);
+    time_kernel("layers/nonbonded_self/scalar" + size, [&](WorkCounters& w) {
+      return nonbonded_self(*s.ctx, s.idx, s.pos, s.frc, w);
+    });
+    time_kernel("layers/nonbonded_self/tiled" + size, [&](WorkCounters& w) {
+      return nonbonded_self_tile_range(*s.ctx, layout.tile(0), 0, layout.where(),
+                                       s.frc, 0, s.idx.size(), w, scratch);
+    });
   }
-  state.counters["pairs/s"] = benchmark::Counter(
-      static_cast<double>(w.pairs_tested), benchmark::Counter::kIsRate);
-}
-BENCHMARK(BM_NonbondedSelf)->Arg(64)->Arg(256)->Arg(1024);
-
-void BM_NonbondedSelfTiled(benchmark::State& state) {
-  KernelSetup s(static_cast<int>(state.range(0)));
-  TiledWorkspace ws;
-  WorkCounters w;
-  for (auto _ : state) {
-    std::fill(s.frc.begin(), s.frc.end(), Vec3{});
-    const EnergyTerms e = nonbonded_self_tiled(*s.ctx, s.idx, s.pos, s.frc, w, ws);
-    benchmark::DoNotOptimize(e);
+  for (int n : {128, 512}) {
+    KernelSetup s(2 * n);
+    const auto un = static_cast<std::size_t>(n);
+    const std::span<const int> ia(s.idx.data(), un), ib(s.idx.data() + n, un);
+    const std::span<const Vec3> pa(s.pos.data(), un), pb(s.pos.data() + n, un);
+    SetLayout layout;
+    layout.clear(2 * n);
+    layout.add(ia, s.pos);
+    layout.add(ib, s.pos);
+    layout.gather_tiles(*s.ctx);
+    TileScratch scratch;
+    std::vector<Vec3> fa(un), fb(un);
+    const std::string size = "/atoms=" + std::to_string(n) + "x" + std::to_string(n);
+    time_kernel("layers/nonbonded_pair/scalar" + size, [&](WorkCounters& w) {
+      return nonbonded_ab(*s.ctx, ia, pa, fa, ib, pb, fb, w);
+    });
+    time_kernel("layers/nonbonded_pair/tiled" + size, [&](WorkCounters& w) {
+      return nonbonded_ab_tile_range(*s.ctx, layout.tile(0), fa, layout.tile(1), 1,
+                                     layout.where(), fb, 0, un, w, scratch);
+    });
   }
-  state.counters["pairs/s"] = benchmark::Counter(
-      static_cast<double>(w.pairs_tested), benchmark::Counter::kIsRate);
-}
-BENCHMARK(BM_NonbondedSelfTiled)->Arg(64)->Arg(256)->Arg(1024);
 
-void BM_NonbondedPairKernel(benchmark::State& state) {
-  const int n = static_cast<int>(state.range(0));
-  KernelSetup s(2 * n);
-  const std::span<const int> ia(s.idx.data(), static_cast<std::size_t>(n));
-  const std::span<const int> ib(s.idx.data() + n, static_cast<std::size_t>(n));
-  const std::span<const Vec3> pa(s.pos.data(), static_cast<std::size_t>(n));
-  const std::span<const Vec3> pb(s.pos.data() + n, static_cast<std::size_t>(n));
-  std::vector<Vec3> fa(static_cast<std::size_t>(n)), fb(static_cast<std::size_t>(n));
-  WorkCounters w;
-  for (auto _ : state) {
-    const EnergyTerms e = nonbonded_ab(*s.ctx, ia, pa, fa, ib, pb, fb, w);
-    benchmark::DoNotOptimize(e);
-  }
-  state.counters["pairs/s"] = benchmark::Counter(
-      static_cast<double>(w.pairs_tested), benchmark::Counter::kIsRate);
-}
-BENCHMARK(BM_NonbondedPairKernel)->Arg(128)->Arg(512);
-
-void BM_NonbondedPairKernelTiled(benchmark::State& state) {
-  const int n = static_cast<int>(state.range(0));
-  KernelSetup s(2 * n);
-  const std::span<const int> ia(s.idx.data(), static_cast<std::size_t>(n));
-  const std::span<const int> ib(s.idx.data() + n, static_cast<std::size_t>(n));
-  const std::span<const Vec3> pa(s.pos.data(), static_cast<std::size_t>(n));
-  const std::span<const Vec3> pb(s.pos.data() + n, static_cast<std::size_t>(n));
-  std::vector<Vec3> fa(static_cast<std::size_t>(n)), fb(static_cast<std::size_t>(n));
-  TiledWorkspace ws;
-  WorkCounters w;
-  for (auto _ : state) {
-    const EnergyTerms e = nonbonded_ab_tiled(*s.ctx, ia, pa, fa, ib, pb, fb, w, ws);
-    benchmark::DoNotOptimize(e);
-  }
-  state.counters["pairs/s"] = benchmark::Counter(
-      static_cast<double>(w.pairs_tested), benchmark::Counter::kIsRate);
-}
-BENCHMARK(BM_NonbondedPairKernelTiled)->Arg(128)->Arg(512);
-
-void BM_BondKernel(benchmark::State& state) {
-  const BondParam p{340.0, 1.09};
-  Vec3 fa, fb;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        bond_energy_force({0.1, 0.2, 0.3}, {1.1, 0.9, 0.5}, p, fa, fb));
-  }
-}
-BENCHMARK(BM_BondKernel);
-
-void BM_AngleKernel(benchmark::State& state) {
-  const AngleParam p{55.0, 1.9};
-  Vec3 fa, fb, fc;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(angle_energy_force({1.2, 0, 0}, {0, 0, 0},
-                                                {0.4, 1.4, 0.3}, p, fa, fb, fc));
-  }
-}
-BENCHMARK(BM_AngleKernel);
-
-void BM_DihedralKernel(benchmark::State& state) {
-  const DihedralParam p{1.4, 3, 0.5};
   Vec3 fa, fb, fc, fd;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(dihedral_energy_force(
-        {0, 0, 0}, {1.5, 0.1, 0}, {2.0, 1.5, 0.2}, {3.4, 1.8, 1.0}, p, fa, fb, fc,
-        fd));
-  }
-}
-BENCHMARK(BM_DihedralKernel);
+  const BondParam bond{340.0, 1.09};
+  bench::time_calibrated(runner, "layers/bonded/bond", [&] {
+    bench::keep(bond_energy_force({0.1, 0.2, 0.3}, {1.1, 0.9, 0.5}, bond, fa, fb));
+  });
+  const AngleParam angle{55.0, 1.9};
+  bench::time_calibrated(runner, "layers/bonded/angle", [&] {
+    bench::keep(angle_energy_force({1.2, 0, 0}, {0, 0, 0}, {0.4, 1.4, 0.3}, angle, fa,
+                                   fb, fc));
+  });
+  const DihedralParam dihedral{1.4, 3, 0.5};
+  bench::time_calibrated(runner, "layers/bonded/dihedral", [&] {
+    bench::keep(dihedral_energy_force({0, 0, 0}, {1.5, 0.1, 0}, {2.0, 1.5, 0.2},
+                                      {3.4, 1.8, 1.0}, dihedral, fa, fb, fc, fd));
+  });
 
-void BM_ExclusionCheck(benchmark::State& state) {
   // A long chain: every atom carries full 1-2/1-3 and 1-4 lists.
-  Molecule mol;
-  mol.box = {10000, 10, 10};
-  const int t = mol.params.add_lj_type(0.1, 2.0);
-  const int b = mol.params.add_bond_param(100, 1.5);
-  mol.params.finalize();
+  Molecule chain;
+  chain.box = {10000, 10, 10};
+  const int t = chain.params.add_lj_type(0.1, 2.0);
+  const int b = chain.params.add_bond_param(100, 1.5);
+  chain.params.finalize();
   for (int i = 0; i < 1000; ++i) {
-    mol.add_atom({12, 0, t}, {1.5 * i + 1, 5, 5});
-    if (i > 0) mol.add_bond(i - 1, i, b);
+    chain.add_atom({12, 0, t}, {1.5 * i + 1, 5, 5});
+    if (i > 0) chain.add_bond(i - 1, i, b);
   }
-  const ExclusionTable excl = ExclusionTable::build(mol);
+  const ExclusionTable excl = ExclusionTable::build(chain);
   int i = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(excl.check(i % 1000, (i + 3) % 1000));
+  bench::time_calibrated(runner, "layers/exclusion_check", [&] {
+    bench::keep(static_cast<double>(excl.check(i % 1000, (i + 3) % 1000)));
     ++i;
-  }
+  });
+
+  bench::print_records(runner.records());
 }
-BENCHMARK(BM_ExclusionCheck);
 
 // ---------------------------------------------------------------------------
 // Kernel-variant comparison mode
@@ -276,7 +251,7 @@ int main(int argc, char** argv) {
   bool compare = common.json;  // a report request implies comparison mode
   double box_side = 97.0;      // ~92k atoms at liquid density: ApoA-I scale
   int threads = 4;
-  std::vector<char*> passthrough{common.passthrough.front()};
+  std::string unknown;
   for (std::size_t i = 1; i < common.passthrough.size(); ++i) {
     char* arg = common.passthrough[i];
     const auto next_val = [&]() -> const char* {
@@ -288,15 +263,17 @@ int main(int argc, char** argv) {
       if (const char* v = next_val()) box_side = std::atof(v);
     } else if (std::strcmp(arg, "--threads") == 0) {
       if (const char* v = next_val()) threads = std::atoi(v);
-    } else {
-      passthrough.push_back(arg);
+    } else if (unknown.empty()) {
+      unknown = arg;
     }
   }
   if (compare) {
     return scalemd::run_comparison(box_side, threads, common);
   }
-  int bench_argc = static_cast<int>(passthrough.size());
-  benchmark::Initialize(&bench_argc, passthrough.data());
-  benchmark::RunSpecifiedBenchmarks();
+  if (!unknown.empty()) {
+    std::fprintf(stderr, "unknown argument '%s'\n", unknown.c_str());
+    return 2;
+  }
+  scalemd::run_layers(common.bench);
   return 0;
 }

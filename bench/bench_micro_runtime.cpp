@@ -1,6 +1,9 @@
-// Micro-benchmarks (google-benchmark) of the runtime substrate: DES event
-// throughput, multicast sender cost (naive vs optimized — section 4.2.3 at
-// the microscope), and reduction trees.
+// Micro-benchmarks of the runtime substrate, in two modes.
+//
+// Default: per-layer runtime records through the shared BenchRunner — DES
+// event throughput, a remote-message chain, multicast sender cost (naive vs
+// optimized — section 4.2.3 at the microscope), and reduction trees —
+// printed one line per record ("layers/...").
 //
 // Backend mode (`--backend sim|threads`, also `--backend=...`): runs the
 // waterbox through the full parallel runtime on the chosen execution
@@ -17,10 +20,8 @@
 //   --audit       run BOTH backends and print the Ideal/Modeled/Measured
 //                 audit table (modeled-vs-measured methodology)
 // Compare `--backend=threads --threads=8` against `--threads=1` for the
-// shared-memory speedup; run without any of these flags for the registered
-// google-benchmark microbenches.
-
-#include <benchmark/benchmark.h>
+// shared-memory speedup; run without any of these flags for the layer
+// records.
 
 #include <cstdio>
 #include <cstdlib>
@@ -41,24 +42,27 @@
 namespace scalemd {
 namespace {
 
-void BM_SchedulerThroughput(benchmark::State& state) {
-  const int tasks = static_cast<int>(state.range(0));
-  for (auto _ : state) {
-    Simulator sim(8, MachineModel::asci_red());
-    for (int i = 0; i < tasks; ++i) {
-      sim.inject(i % 8, {.fn = [](ExecContext& c) { c.charge(1e-6); }});
-    }
-    sim.run();
-    benchmark::DoNotOptimize(sim.time());
+/// Records the runtime layer on the DES: each call builds a machine,
+/// injects its work and drains it.
+void run_layers(const perf::BenchOptions& opts) {
+  perf::BenchRunner runner(opts);
+  for (int tasks : {1000, 10000}) {
+    const auto run = [tasks] {
+      Simulator sim(8, MachineModel::asci_red());
+      for (int i = 0; i < tasks; ++i) {
+        sim.inject(i % 8, {.fn = [](ExecContext& c) { c.charge(1e-6); }});
+      }
+      sim.run();
+      bench::keep(sim.time());
+    };
+    bench::time_calibrated(runner, "layers/des_schedule/tasks=" + std::to_string(tasks),
+                           run)
+        .param("tasks", tasks);
   }
-  state.SetItemsProcessed(state.iterations() * tasks);
-}
-BENCHMARK(BM_SchedulerThroughput)->Arg(1000)->Arg(10000);
 
-void BM_MessageChain(benchmark::State& state) {
-  // A ping-pong chain of remote messages: measures per-event DES cost.
-  const int hops = 1000;
-  for (auto _ : state) {
+  // A ping-pong chain of remote messages: per-event DES cost.
+  constexpr int kHops = 1000;
+  const auto chain = [] {
     Simulator sim(2, MachineModel::asci_red());
     std::function<void(ExecContext&, int)> hop = [&](ExecContext& ctx, int left) {
       if (left == 0) return;
@@ -66,53 +70,57 @@ void BM_MessageChain(benchmark::State& state) {
                                 hop(c, left - 1);
                               }});
     };
-    sim.inject(0, {.fn = [&](ExecContext& ctx) { hop(ctx, hops); }});
+    sim.inject(0, {.fn = [&](ExecContext& ctx) { hop(ctx, kHops); }});
     sim.run();
-    benchmark::DoNotOptimize(sim.time());
-  }
-  state.SetItemsProcessed(state.iterations() * hops);
-}
-BENCHMARK(BM_MessageChain);
+    bench::keep(sim.time());
+  };
+  bench::time_calibrated(runner, "layers/des_message_chain", chain).param("hops", kHops);
 
-void BM_Multicast(benchmark::State& state) {
-  const bool optimized = state.range(0) != 0;
-  const int fanout = 64;
+  constexpr int kFanout = 64;
   std::vector<int> dests;
-  for (int pe = 1; pe <= fanout; ++pe) dests.push_back(pe);
-  for (auto _ : state) {
-    Simulator sim(fanout + 1, MachineModel::asci_red());
-    sim.inject(0, {.fn = [&](ExecContext& ctx) {
-                     multicast(ctx, dests, 9000, optimized, [](int) {
-                       TaskMsg m;
-                       m.fn = [](ExecContext&) {};
-                       return m;
-                     });
-                   }});
-    sim.run();
-    benchmark::DoNotOptimize(sim.pe_busy(0));
+  for (int pe = 1; pe <= kFanout; ++pe) dests.push_back(pe);
+  for (bool optimized : {false, true}) {
+    const auto run = [&dests, optimized] {
+      Simulator sim(kFanout + 1, MachineModel::asci_red());
+      sim.inject(0, {.fn = [&](ExecContext& ctx) {
+                       multicast(ctx, dests, 9000, optimized, [](int) {
+                         TaskMsg m;
+                         m.fn = [](ExecContext&) {};
+                         return m;
+                       });
+                     }});
+      sim.run();
+      bench::keep(sim.pe_busy(0));
+    };
+    bench::time_calibrated(
+        runner, std::string("layers/multicast/") + (optimized ? "optimized" : "naive"),
+        run)
+        .param("fanout", kFanout);
   }
-}
-BENCHMARK(BM_Multicast)->Arg(0)->Arg(1)->ArgNames({"optimized"});
 
-void BM_ReductionTree(benchmark::State& state) {
-  const int pes = static_cast<int>(state.range(0));
-  std::vector<int> contributors;
-  for (int pe = 0; pe < pes; ++pe) contributors.push_back(pe);
-  for (auto _ : state) {
-    Simulator sim(pes, MachineModel::asci_red());
-    const EntryId e = sim.entries().add("reduce", WorkCategory::kComm);
-    double total = 0.0;
-    Reducer red(contributors, e, [&](int, double v) { total = v; });
-    for (int pe = 0; pe < pes; ++pe) {
-      sim.inject(pe, {.fn = [&red, pe](ExecContext& ctx) {
-                        red.contribute(ctx, pe, 0, 1.0);
-                      }});
-    }
-    sim.run();
-    benchmark::DoNotOptimize(total);
+  for (int pes : {64, 1024}) {
+    std::vector<int> contributors;
+    for (int pe = 0; pe < pes; ++pe) contributors.push_back(pe);
+    const auto run = [&contributors, pes] {
+      Simulator sim(pes, MachineModel::asci_red());
+      const EntryId e = sim.entries().add("reduce", WorkCategory::kComm);
+      double total = 0.0;
+      Reducer red(contributors, e, [&](int, double v) { total = v; });
+      for (int pe = 0; pe < pes; ++pe) {
+        sim.inject(pe, {.fn = [&red, pe](ExecContext& ctx) {
+                          red.contribute(ctx, pe, 0, 1.0);
+                        }});
+      }
+      sim.run();
+      bench::keep(total);
+    };
+    bench::time_calibrated(runner, "layers/reduction_tree/pes=" + std::to_string(pes),
+                           run)
+        .param("pes", pes);
   }
+
+  bench::print_records(runner.records());
 }
-BENCHMARK(BM_ReductionTree)->Arg(64)->Arg(1024);
 
 // ---------------------------------------------------------------------------
 // Backend mode: the parallel runtime end to end, DES vs real threads.
@@ -238,7 +246,7 @@ int main(int argc, char** argv) {
   int threads = 0;
   int steps = 5;
   double box_side = 97.0;
-  std::vector<char*> passthrough{common.passthrough.front()};
+  std::string unknown;
   for (std::size_t i = 1; i < common.passthrough.size(); ++i) {
     char* arg = common.passthrough[i];
     const auto next_val = [&]() -> const char* {
@@ -277,16 +285,18 @@ int main(int argc, char** argv) {
       if (const char* v = next_val()) steps = std::atoi(v);
     } else if (std::strcmp(arg, "--box") == 0) {
       if (const char* v = next_val()) box_side = std::atof(v);
-    } else {
-      passthrough.push_back(arg);
+    } else if (unknown.empty()) {
+      unknown = arg;
     }
   }
   if (have_backend) {
     return scalemd::run_backend_bench(backend, kernel, pes, threads, steps,
                                       box_side, audit, common);
   }
-  int bench_argc = static_cast<int>(passthrough.size());
-  benchmark::Initialize(&bench_argc, passthrough.data());
-  benchmark::RunSpecifiedBenchmarks();
+  if (!unknown.empty()) {
+    std::fprintf(stderr, "unknown argument '%s'\n", unknown.c_str());
+    return 2;
+  }
+  scalemd::run_layers(common.bench);
   return 0;
 }

@@ -13,8 +13,8 @@
 //
 // --kernel picks the non-bonded kernel in every form; without it each run
 // uses the library default (tiled). scalar is the reference loop the other
-// kernels are tested against. tiled+threads nests a thread pool inside the
-// kernel and is rejected with an error on the threads and process backends.
+// kernels are tested against. tiled+threads runs only in the sequential
+// engine: the --backend and --pes forms reject it with an error.
 //
 // --check attaches the physics-invariant checker (src/check/) to the run and
 // reports any violated invariant (energy drift, net force/momentum, ...).
@@ -285,7 +285,7 @@ int run_chaos(int pes, scalemd::NonbondedKernel kernel,
 }
 
 /// Runs a parallel demo, turning a rejected configuration (for example
-/// tiled+threads on a real backend) into an error message and exit code 1.
+/// tiled+threads) into an error message and exit code 1.
 template <class Demo>
 int run_guarded(const Demo& demo) {
   try {

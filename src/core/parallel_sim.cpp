@@ -11,7 +11,6 @@
 #include <unistd.h>
 
 #include "ewald/full_elec.hpp"
-#include "ff/bonded.hpp"
 #include "lb/diffusion.hpp"
 #include "lb/evacuate.hpp"
 #include "lb/greedy.hpp"
@@ -178,9 +177,9 @@ std::string config_error(const ParallelOptions& opts, const Workload& workload) 
     return std::string(backend_name(opts.backend)) +
            " backend requires numeric mode";
   }
-  if (real && workload.nonbonded.kernel == NonbondedKernel::kTiledThreads) {
-    return std::string("kernel tiled+threads would nest thread pools on the ") +
-           backend_name(opts.backend) + " backend; use tiled";
+  if (workload.nonbonded.kernel == NonbondedKernel::kTiledThreads) {
+    return "kernel tiled+threads runs only in the sequential engine; use tiled "
+           "(the runtime already runs computes on every PE at once)";
   }
   if (real && !opts.fault.empty()) {
     return "fault plans require the simulated backend";
@@ -213,14 +212,7 @@ ParallelSim::ParallelSim(const Workload& workload, const ParallelOptions& opts)
     }
     nb_ctx_ = std::make_unique<NonbondedContext>(mol_->params, excl_, charges_,
                                                  lj_types_, wl_->nonbonded);
-    if (wl_->nonbonded.kernel == NonbondedKernel::kTiled) {
-      tile_scratch_.resize(static_cast<std::size_t>(opts_.num_pes));
-    }
-    if (wl_->nonbonded.kernel == NonbondedKernel::kTiledThreads) {
-      const int t = wl_->nonbonded.threads > 0 ? wl_->nonbonded.threads
-                                               : ThreadPool::default_threads();
-      nb_pool_ = std::make_unique<ThreadPool>(t);
-    }
+    pe_scratch_.resize(static_cast<std::size_t>(opts_.num_pes));
   }
 
   // Both real backends run tasks for real, so only numeric mode has work to
@@ -307,7 +299,7 @@ ParallelSim::ParallelSim(const Workload& workload, const ParallelOptions& opts)
     }
   }
   active_patches_ = static_cast<int>(patches_.size());
-  if (!tile_scratch_.empty()) {
+  if (opts_.numeric && wl_->nonbonded.kernel == NonbondedKernel::kTiled) {
     tiles_.resize(static_cast<std::size_t>(mol_->atom_count()));
     tile_off_.resize(patches_.size());
   }
@@ -329,6 +321,15 @@ ParallelSim::ParallelSim(const Workload& workload, const ParallelOptions& opts)
 }
 
 ParallelSim::~ParallelSim() = default;
+
+Simulator* ParallelSim::des_or_throw() const {
+  if (des_ == nullptr) {
+    throw ParallelConfigError(std::string("sim() requires the simulated backend; this "
+                                          "sim runs on the ") +
+                              backend_name(opts_.backend) + " backend");
+  }
+  return des_;
+}
 
 void ParallelSim::build_initial_placement() {
   // Stage 1 of the paper's load balancing: recursive coordinate bisection of
@@ -465,6 +466,7 @@ void ParallelSim::gather_tile(int patch) {
 }
 
 TileView ParallelSim::tile_of(int patch) const {
+  if (tile_off_.empty()) return {};
   return tiles_.view(tile_off_[static_cast<std::size_t>(patch)],
                      patches_[static_cast<std::size_t>(patch)].atoms.size());
 }
@@ -563,122 +565,26 @@ void ParallelSim::run_compute(ExecContext& ctx, int compute) {
   const int pe = ctx.pe();
 
   if (opts_.numeric) {
-    WorkCounters w;
-    EnergyTerms e;
     const int step_global = step_base_ + patches_[static_cast<std::size_t>(
                                              desc.patches[0])].step;
-    // This compute's private force buffer for `patch` (its slot in the
-    // proxy's scratch); accumulation into the shared buffer happens in
-    // canonical slot order at complete_patch_on_pe.
-    auto scratch_of = [&](int patch) -> std::vector<Vec3>& {
-      ProxyRt& proxy =
-          proxies_[static_cast<std::size_t>(proxy_index(patch, pe))];
-      for (std::size_t k = 0; k < proxy.computes.size(); ++k) {
-        if (proxy.computes[k] == compute) return proxy.scratch[k];
-      }
-      assert(false && "compute not registered on its proxy");
-      return proxy.scratch[0];
-    };
-    switch (desc.kind) {
-      case ComputeKind::kSelf: {
-        PatchRt& pa = patches_[static_cast<std::size_t>(desc.patches[0])];
-        std::vector<Vec3>& fa = scratch_of(desc.patches[0]);
-        const std::size_t n = pa.atoms.size();
-        const auto b = static_cast<std::size_t>(std::lround(desc.frac_begin * n));
-        const auto en = static_cast<std::size_t>(std::lround(desc.frac_end * n));
-        switch (wl_->nonbonded.kernel) {
-          case NonbondedKernel::kScalar:
-            e = nonbonded_self_range(*nb_ctx_, pa.atoms, pa.pos, fa, b, en, w);
-            break;
-          case NonbondedKernel::kTiled:
-            e = nonbonded_self_tile_range(*nb_ctx_, tile_of(desc.patches[0]),
-                                          desc.patches[0], atom_loc_, fa, b, en, w,
-                                          tile_scratch_[static_cast<std::size_t>(pe)]);
-            break;
-          case NonbondedKernel::kTiledThreads:
-            e = nonbonded_self_range_tiled_mt(*nb_ctx_, pa.atoms, pa.pos, fa,
-                                              b, en, w, tiled_mt_ws_, *nb_pool_);
-            break;
-        }
-        break;
-      }
-      case ComputeKind::kPair: {
-        PatchRt& pa = patches_[static_cast<std::size_t>(desc.patches[0])];
-        PatchRt& pb = patches_[static_cast<std::size_t>(desc.patches[1])];
-        std::vector<Vec3>& fa = scratch_of(desc.patches[0]);
-        std::vector<Vec3>& fb = scratch_of(desc.patches[1]);
-        const std::size_t n = pa.atoms.size();
-        const auto b = static_cast<std::size_t>(std::lround(desc.frac_begin * n));
-        const auto en = static_cast<std::size_t>(std::lround(desc.frac_end * n));
-        switch (wl_->nonbonded.kernel) {
-          case NonbondedKernel::kScalar:
-            e = nonbonded_ab_range(*nb_ctx_, pa.atoms, pa.pos, fa, pb.atoms,
-                                   pb.pos, fb, b, en, w);
-            break;
-          case NonbondedKernel::kTiled:
-            e = nonbonded_ab_tile_range(*nb_ctx_, tile_of(desc.patches[0]), fa,
-                                        tile_of(desc.patches[1]), desc.patches[1],
-                                        atom_loc_, fb, b, en, w,
-                                        tile_scratch_[static_cast<std::size_t>(pe)]);
-            break;
-          case NonbondedKernel::kTiledThreads:
-            e = nonbonded_ab_range_tiled_mt(*nb_ctx_, pa.atoms, pa.pos, fa,
-                                            pb.atoms, pb.pos, fb, b, en, w,
-                                            tiled_mt_ws_, *nb_pool_);
-            break;
-        }
-        break;
-      }
-      default: {
-        // Bonded kinds: fetch coordinates by atom location, scatter forces
-        // into this compute's scratch slots of the owning patches' proxies.
-        auto pos_of = [&](int atom) -> const Vec3& {
-          const auto [p, idx] = atom_loc_[static_cast<std::size_t>(atom)];
-          return patches_[static_cast<std::size_t>(p)].pos[static_cast<std::size_t>(idx)];
-        };
-        auto frc_of = [&](int atom) -> Vec3& {
-          const auto [p, idx] = atom_loc_[static_cast<std::size_t>(atom)];
-          return scratch_of(p)[static_cast<std::size_t>(idx)];
-        };
-        for (int t : desc.terms) {
-          switch (desc.kind) {
-            case ComputeKind::kBonds: {
-              const Bond& term = mol_->bonds()[static_cast<std::size_t>(t)];
-              e.bond += bond_energy_force(pos_of(term.a), pos_of(term.b),
-                                          mol_->params.bond(term.param),
-                                          frc_of(term.a), frc_of(term.b));
-              break;
-            }
-            case ComputeKind::kAngles: {
-              const Angle& term = mol_->angles()[static_cast<std::size_t>(t)];
-              e.angle += angle_energy_force(
-                  pos_of(term.a), pos_of(term.b), pos_of(term.c),
-                  mol_->params.angle(term.param), frc_of(term.a), frc_of(term.b),
-                  frc_of(term.c));
-              break;
-            }
-            case ComputeKind::kDihedrals: {
-              const Dihedral& term = mol_->dihedrals()[static_cast<std::size_t>(t)];
-              e.dihedral += dihedral_energy_force(
-                  pos_of(term.a), pos_of(term.b), pos_of(term.c), pos_of(term.d),
-                  mol_->params.dihedral(term.param), frc_of(term.a), frc_of(term.b),
-                  frc_of(term.c), frc_of(term.d));
-              break;
-            }
-            default: {
-              const Improper& term = mol_->impropers()[static_cast<std::size_t>(t)];
-              e.improper += improper_energy_force(
-                  pos_of(term.a), pos_of(term.b), pos_of(term.c), pos_of(term.d),
-                  mol_->params.improper(term.param), frc_of(term.a), frc_of(term.b),
-                  frc_of(term.c), frc_of(term.d));
-              break;
-            }
-          }
-        }
-        w.bonded_terms += desc.terms.size();
-        break;
-      }
+    // Each dependency patch with this compute's private force buffer for it
+    // (its slot in the proxy's scratch); accumulation into the shared buffer
+    // happens in canonical slot order at complete_patch_on_pe.
+    PeScratch& scratch = pe_scratch_[static_cast<std::size_t>(pe)];
+    scratch.patches.clear();
+    for (int patch : rt.deps) {
+      ProxyRt& proxy = proxies_[static_cast<std::size_t>(proxy_index(patch, pe))];
+      const auto k = static_cast<std::size_t>(
+          std::find(proxy.computes.begin(), proxy.computes.end(), compute) -
+          proxy.computes.begin());
+      assert(k < proxy.computes.size() && "compute not registered on its proxy");
+      const PatchRt& pr = patches_[static_cast<std::size_t>(patch)];
+      scratch.patches.push_back(
+          {patch, pr.atoms, pr.pos, tile_of(patch), proxy.scratch[k]});
     }
+    WorkCounters w;
+    const EnergyTerms e = evaluate_compute(desc, *mol_, *nb_ctx_, atom_loc_,
+                                           scratch.patches, w, scratch.tile);
     rt.work = w;
     // Potential energy goes into this compute's private (compute, step)
     // slot by assignment — no shared accumulator to race on or to

@@ -1,6 +1,5 @@
 #pragma once
 
-#include <cassert>
 #include <functional>
 #include <memory>
 #include <mutex>
@@ -8,6 +7,7 @@
 #include <utility>
 #include <vector>
 
+#include "core/compute_eval.hpp"
 #include "core/compute_plan.hpp"
 #include "core/decomposition.hpp"
 #include "core/work_cache.hpp"
@@ -43,7 +43,7 @@ struct LbPolicy {
 
 /// A Workload / ParallelOptions combination the runtime cannot run. The
 /// Workload and ParallelSim constructors throw it in every build, release
-/// included.
+/// included, and so does ParallelSim::sim() off the simulated backend.
 class ParallelConfigError : public std::invalid_argument {
  public:
   using std::invalid_argument::invalid_argument;
@@ -159,8 +159,8 @@ class ParallelSim {
   /// combination cannot run:
   /// - the threaded and process backends execute for real, so they need
   ///   numeric mode;
-  /// - kTiledThreads on the threaded or process backend would nest thread
-  ///   pools (use kTiled there);
+  /// - kTiledThreads runs only in the sequential engine (use kTiled: the
+  ///   runtime already runs computes on every PE at once);
   /// - fault plans and reliable delivery model DES timers, so they need the
   ///   simulated backend; checkpoints need the simulated or process backend;
   /// - full-electrostatics options must pass full_elec_error().
@@ -186,16 +186,10 @@ class ParallelSim {
   ExecBackend& backend() { return *exec_; }
   const ExecBackend& backend() const { return *exec_; }
 
-  /// The DES machine. Only valid with the simulated backend (asserts);
-  /// backend-agnostic callers should use backend() instead.
-  Simulator& sim() {
-    assert(des_ != nullptr && "sim() requires the simulated backend");
-    return *des_;
-  }
-  const Simulator& sim() const {
-    assert(des_ != nullptr && "sim() requires the simulated backend");
-    return *des_;
-  }
+  /// The DES machine. Throws ParallelConfigError on the other backends, in
+  /// every build; backend-agnostic callers should use backend() instead.
+  Simulator& sim() { return *des_or_throw(); }
+  const Simulator& sim() const { return *des_or_throw(); }
 
   /// Completion time of each global step so far, in the backend's clock
   /// (virtual seconds simulated, wall-clock seconds threaded).
@@ -298,6 +292,7 @@ class ParallelSim {
   struct PmeSlabRt;
   struct Checkpoint;
 
+  Simulator* des_or_throw() const;
   void build_initial_placement();
   void rebuild_dataflow();
   void rebuild_reducer();
@@ -395,12 +390,14 @@ class ParallelSim {
   // exported or flushed.
   TileSoA tiles_;
   std::vector<std::size_t> tile_off_;
-  // One kernel scratch per PE: under the threaded backend each PE's worker
-  // runs kernels concurrently, and the scratch must not be shared.
-  std::vector<TileScratch> tile_scratch_;
-  // kTiledThreads (simulated backend only).
-  TiledThreadWorkspace tiled_mt_ws_;
-  std::unique_ptr<ThreadPool> nb_pool_;
+  // One compute scratch per PE (numeric mode): under the threaded backend
+  // each PE's worker runs computes concurrently, and the scratch must not
+  // be shared.
+  struct PeScratch {
+    TileScratch tile;
+    std::vector<ComputePatch> patches;  ///< the running compute's patches
+  };
+  std::vector<PeScratch> pe_scratch_;
 
   std::unique_ptr<ExecBackend> exec_;
   Simulator* des_ = nullptr;  ///< exec_ downcast when simulated, else null

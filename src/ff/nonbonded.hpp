@@ -17,7 +17,7 @@ namespace scalemd {
 enum class NonbondedKernel {
   kScalar,        ///< reference AoS loop, per-pair exclusion binary search
   kTiled,         ///< SoA tiles + precomputed exclusion bitmasks
-  kTiledThreads,  ///< tiled kernel fanned across a thread pool
+  kTiledThreads,  ///< tiled kernel, sequential engine tasks on a thread pool
 };
 
 /// Full-electrostatics (smooth particle-mesh Ewald) parameters. When
@@ -50,6 +50,7 @@ struct NonbondedOptions {
   /// reference the other kernels are tested against.
   NonbondedKernel kernel = NonbondedKernel::kTiled;
   /// Worker count for kTiledThreads; 0 means ThreadPool::default_threads().
+  /// Only the sequential engine runs kTiledThreads; ParallelSim rejects it.
   int threads = 0;
   FullElecOptions full_elec;
 };

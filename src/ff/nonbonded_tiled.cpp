@@ -14,18 +14,6 @@
 
 namespace scalemd {
 
-void GlobalLocalMap::begin(int atom_count) {
-  const auto n = static_cast<std::size_t>(atom_count);
-  if (loc_.size() < n) {
-    loc_.resize(n, -1);
-    stamp_.resize(n, 0);
-  }
-  if (++epoch_ == 0) {  // epoch wrapped: old stamps would alias
-    std::fill(stamp_.begin(), stamp_.end(), 0u);
-    epoch_ = 1;
-  }
-}
-
 void TileSoA::resize(std::size_t rows) {
   n = rows;
   x.resize(rows);
@@ -49,41 +37,33 @@ void TileSoA::gather_at(std::size_t off, const NonbondedContext& ctx,
   }
 }
 
-void TileSoA::gather(const NonbondedContext& ctx, std::span<const int> idx,
-                     std::span<const Vec3> pos) {
-  resize(idx.size());
-  gather_at(0, ctx, idx, pos);
-}
-
 TileView TileSoA::view(std::size_t off, std::size_t rows) const {
   assert(off + rows <= n);
   return {rows,          x.data() + off,    y.data() + off,      z.data() + off,
           q.data() + off, type.data() + off, global.data() + off};
 }
 
-void TilePair::build_self(const NonbondedContext& ctx, std::span<const int> idx,
-                          std::span<const Vec3> pos, GlobalLocalMap& map,
-                          std::size_t i0, std::size_t i1) {
-  own_a_.gather(ctx, idx, pos);
-  a_ = b_ = own_a_.view();
-  self_ = true;
-  map.begin(ctx.exclusions().atom_count());
-  for (std::size_t j = 0; j < own_a_.n; ++j) map.set(own_a_.global[j], static_cast<int>(j));
-  build_masks(ctx, i0, i1, [&map](int g) { return map.find(g); });
+void SetLayout::clear(int atom_count) {
+  off_.assign(1, 0);
+  atoms_.clear();
+  pos_.clear();
+  where_.assign(static_cast<std::size_t>(atom_count), AtomSlot{-1, -1});
+  tiles_.n = 0;
 }
 
-void TilePair::build_ab(const NonbondedContext& ctx, std::span<const int> idx_a,
-                        std::span<const Vec3> pos_a, std::span<const int> idx_b,
-                        std::span<const Vec3> pos_b, GlobalLocalMap& map,
-                        std::size_t i0, std::size_t i1) {
-  own_a_.gather(ctx, idx_a, pos_a);
-  own_b_.gather(ctx, idx_b, pos_b);
-  a_ = own_a_.view();
-  b_ = own_b_.view();
-  self_ = false;
-  map.begin(ctx.exclusions().atom_count());
-  for (std::size_t j = 0; j < own_b_.n; ++j) map.set(own_b_.global[j], static_cast<int>(j));
-  build_masks(ctx, i0, i1, [&map](int g) { return map.find(g); });
+void SetLayout::add(std::span<const int> atoms, std::span<const Vec3> pos) {
+  const int set = sets();
+  for (std::size_t i = 0; i < atoms.size(); ++i) {
+    where_[static_cast<std::size_t>(atoms[i])] = {set, static_cast<int>(i)};
+    atoms_.push_back(atoms[i]);
+    pos_.push_back(pos[static_cast<std::size_t>(atoms[i])]);
+  }
+  off_.push_back(atoms_.size());
+}
+
+void SetLayout::gather_tiles(const NonbondedContext& ctx) {
+  tiles_.resize(atoms_.size());
+  tiles_.gather_at(0, ctx, atoms_, pos_);
 }
 
 void TilePair::attach(const NonbondedContext& ctx, const TileView& a, const TileView* b,
@@ -92,15 +72,6 @@ void TilePair::attach(const NonbondedContext& ctx, const TileView& a, const Tile
   a_ = a;
   b_ = b != nullptr ? *b : a;
   self_ = b == nullptr;
-  build_masks(ctx, i0, i1, [where, b_set](int g) {
-    const AtomSlot& s = where[static_cast<std::size_t>(g)];
-    return s.first == b_set ? s.second : -1;
-  });
-}
-
-template <class Find>
-void TilePair::build_masks(const NonbondedContext& ctx, std::size_t i0, std::size_t i1,
-                           const Find& find) {
   assert(i0 <= i1 && i1 <= a_.n);
   row0_ = i0;
   row1_ = i1;
@@ -110,25 +81,20 @@ void TilePair::build_masks(const NonbondedContext& ctx, std::size_t i0, std::siz
   mod_.assign(rows * words_, 0u);
   row_masked_.assign(rows, 0);
 
+  // Sets bit (row r, partner of global atom g) in `mask` when g is in b's
+  // set; returns whether it did.
+  const auto mark = [&](std::vector<std::uint64_t>& mask, std::size_t r, int g) {
+    const AtomSlot& s = where[static_cast<std::size_t>(g)];
+    if (s.first != b_set) return false;
+    const auto j = static_cast<std::size_t>(s.second);
+    mask[r * words_ + j / 64] |= std::uint64_t{1} << (j & 63);
+    return true;
+  };
   for (std::size_t r = 0; r < rows; ++r) {
     const int gi = a_.global[i0 + r];
     bool any = false;
-    for (int g : ctx.exclusions().excluded(gi)) {
-      const int j = find(g);
-      if (j >= 0) {
-        full_[r * words_ + static_cast<std::size_t>(j) / 64] |=
-            std::uint64_t{1} << (static_cast<std::size_t>(j) & 63);
-        any = true;
-      }
-    }
-    for (int g : ctx.exclusions().modified(gi)) {
-      const int j = find(g);
-      if (j >= 0) {
-        mod_[r * words_ + static_cast<std::size_t>(j) / 64] |=
-            std::uint64_t{1} << (static_cast<std::size_t>(j) & 63);
-        any = true;
-      }
-    }
+    for (int g : ctx.exclusions().excluded(gi)) any |= mark(full_, r, g);
+    for (int g : ctx.exclusions().modified(gi)) any |= mark(mod_, r, g);
     row_masked_[r] = any ? 1 : 0;
   }
 }
@@ -450,74 +416,7 @@ void scatter3(std::span<Vec3> f, const std::vector<double>& x,
   }
 }
 
-/// Self-set evaluation once `ws.pair` is built: rows [i0, i1) touch force
-/// rows [i0, n) only (partners are j > i), so only those are zeroed and
-/// scattered. The untouched rows would add +0.0, which changes no bit of a
-/// caller's buffer unless it holds -0.0.
-EnergyTerms eval_self(const NonbondedContext& ctx, std::span<Vec3> f, std::size_t i0,
-                      std::size_t i1, WorkCounters& work, TileScratch& ws) {
-  const std::size_t n = ws.pair.a().n;
-  zero3(ws.fax, ws.fay, ws.faz, n, i0);
-  const EnergyTerms e =
-      ws.pair.eval_rows(ctx, i0, i1, ws.fax.data(), ws.fay.data(), ws.faz.data(),
-                        ws.fax.data(), ws.fay.data(), ws.faz.data(), ws.row, work);
-  scatter3(f, ws.fax, ws.fay, ws.faz, i0);
-  return e;
-}
-
-/// Set-pair evaluation once `ws.pair` is built: rows [a0, a1) of a against
-/// all of b.
-EnergyTerms eval_ab(const NonbondedContext& ctx, std::span<Vec3> f_a,
-                    std::span<Vec3> f_b, std::size_t a0, std::size_t a1,
-                    WorkCounters& work, TileScratch& ws) {
-  zero3(ws.fax, ws.fay, ws.faz, ws.pair.a().n, a0, a1);
-  zero3(ws.fbx, ws.fby, ws.fbz, ws.pair.b().n);
-  const EnergyTerms e =
-      ws.pair.eval_rows(ctx, a0, a1, ws.fax.data(), ws.fay.data(), ws.faz.data(),
-                        ws.fbx.data(), ws.fby.data(), ws.fbz.data(), ws.row, work);
-  scatter3(f_a, ws.fax, ws.fay, ws.faz, a0, a1);
-  scatter3(f_b, ws.fbx, ws.fby, ws.fbz);
-  return e;
-}
-
 }  // namespace
-
-EnergyTerms nonbonded_self_tiled(const NonbondedContext& ctx, std::span<const int> idx,
-                                 std::span<const Vec3> pos, std::span<Vec3> f,
-                                 WorkCounters& work, TiledWorkspace& ws) {
-  return nonbonded_self_range_tiled(ctx, idx, pos, f, 0, idx.size(), work, ws);
-}
-
-EnergyTerms nonbonded_self_range_tiled(const NonbondedContext& ctx,
-                                       std::span<const int> idx,
-                                       std::span<const Vec3> pos, std::span<Vec3> f,
-                                       std::size_t i_begin, std::size_t i_end,
-                                       WorkCounters& work, TiledWorkspace& ws) {
-  assert(i_end <= idx.size());
-  ws.pair.build_self(ctx, idx, pos, ws.map, i_begin, i_end);
-  return eval_self(ctx, f, i_begin, i_end, work, ws);
-}
-
-EnergyTerms nonbonded_ab_tiled(const NonbondedContext& ctx, std::span<const int> idx_a,
-                               std::span<const Vec3> pos_a, std::span<Vec3> f_a,
-                               std::span<const int> idx_b,
-                               std::span<const Vec3> pos_b, std::span<Vec3> f_b,
-                               WorkCounters& work, TiledWorkspace& ws) {
-  return nonbonded_ab_range_tiled(ctx, idx_a, pos_a, f_a, idx_b, pos_b, f_b, 0,
-                                  idx_a.size(), work, ws);
-}
-
-EnergyTerms nonbonded_ab_range_tiled(const NonbondedContext& ctx,
-                                     std::span<const int> idx_a,
-                                     std::span<const Vec3> pos_a, std::span<Vec3> f_a,
-                                     std::span<const int> idx_b,
-                                     std::span<const Vec3> pos_b, std::span<Vec3> f_b,
-                                     std::size_t a_begin, std::size_t a_end,
-                                     WorkCounters& work, TiledWorkspace& ws) {
-  assert(a_end <= idx_a.size());
-  ws.pair.build_ab(ctx, idx_a, pos_a, idx_b, pos_b, ws.map, a_begin, a_end);
-  return eval_ab(ctx, f_a, f_b, a_begin, a_end, work, ws);
-}
 
 EnergyTerms nonbonded_self_tile_range(const NonbondedContext& ctx, const TileView& a,
                                       int a_set, std::span<const AtomSlot> where,
@@ -526,7 +425,15 @@ EnergyTerms nonbonded_self_tile_range(const NonbondedContext& ctx, const TileVie
                                       TileScratch& ws) {
   assert(i_end <= a.n && f.size() == a.n);
   ws.pair.attach(ctx, a, nullptr, a_set, where, i_begin, i_end);
-  return eval_self(ctx, f, i_begin, i_end, work, ws);
+  // Rows [i_begin, i_end) touch force rows [i_begin, n) only (partners are
+  // j > i), so only those are zeroed and scattered. The untouched rows would
+  // add +0.0, which changes no bit of a caller's buffer unless it holds -0.0.
+  zero3(ws.fax, ws.fay, ws.faz, a.n, i_begin);
+  const EnergyTerms e = ws.pair.eval_rows(
+      ctx, i_begin, i_end, ws.fax.data(), ws.fay.data(), ws.faz.data(),
+      ws.fax.data(), ws.fay.data(), ws.faz.data(), ws.row, work);
+  scatter3(f, ws.fax, ws.fay, ws.faz, i_begin);
+  return e;
 }
 
 EnergyTerms nonbonded_ab_tile_range(const NonbondedContext& ctx, const TileView& a,
@@ -537,91 +444,13 @@ EnergyTerms nonbonded_ab_tile_range(const NonbondedContext& ctx, const TileView&
                                     TileScratch& ws) {
   assert(a_end <= a.n && f_a.size() == a.n && f_b.size() == b.n);
   ws.pair.attach(ctx, a, &b, b_set, where, a_begin, a_end);
-  return eval_ab(ctx, f_a, f_b, a_begin, a_end, work, ws);
-}
-
-namespace {
-
-/// Outer rows handed to one pool task. Small enough to balance triangular
-/// self workloads via the round-robin schedule, large enough to amortize
-/// task dispatch.
-constexpr std::size_t kChunkRows = 32;
-
-}  // namespace
-
-EnergyTerms nonbonded_self_range_tiled_mt(const NonbondedContext& ctx,
-                                          std::span<const int> idx,
-                                          std::span<const Vec3> pos, std::span<Vec3> f,
-                                          std::size_t i_begin, std::size_t i_end,
-                                          WorkCounters& work, TiledThreadWorkspace& ws,
-                                          ThreadPool& pool) {
-  assert(i_end <= idx.size());
-  ws.shared.pair.build_self(ctx, idx, pos, ws.shared.map, i_begin, i_end);
-  const std::size_t n = idx.size();
-  const std::size_t rows = i_end > i_begin ? i_end - i_begin : 0;
-  const std::size_t nchunks = (rows + kChunkRows - 1) / kChunkRows;
-  ws.workers.resize(static_cast<std::size_t>(pool.size()));
-  ws.chunk_energy.assign(nchunks, EnergyTerms{});
-  for (auto& w : ws.workers) {
-    zero3(w.fax, w.fay, w.faz, n);
-    w.work = {};
-  }
-  pool.run(nchunks, [&](std::size_t task, int worker) {
-    auto& pw = ws.workers[static_cast<std::size_t>(worker)];
-    const std::size_t b = i_begin + task * kChunkRows;
-    const std::size_t e = std::min(i_end, b + kChunkRows);
-    ws.chunk_energy[task] =
-        ws.shared.pair.eval_rows(ctx, b, e, pw.fax.data(), pw.fay.data(),
-                                 pw.faz.data(), pw.fax.data(), pw.fay.data(),
-                                 pw.faz.data(), pw.row, pw.work);
-  });
-  // Deterministic reduction: energies in chunk order, forces/counters in
-  // worker order (the static schedule fixes the chunk -> worker mapping).
-  EnergyTerms e;
-  for (const EnergyTerms& ce : ws.chunk_energy) e += ce;
-  for (const auto& pw : ws.workers) {
-    work += pw.work;
-    scatter3(f, pw.fax, pw.fay, pw.faz);
-  }
-  return e;
-}
-
-EnergyTerms nonbonded_ab_range_tiled_mt(const NonbondedContext& ctx,
-                                        std::span<const int> idx_a,
-                                        std::span<const Vec3> pos_a, std::span<Vec3> f_a,
-                                        std::span<const int> idx_b,
-                                        std::span<const Vec3> pos_b, std::span<Vec3> f_b,
-                                        std::size_t a_begin, std::size_t a_end,
-                                        WorkCounters& work, TiledThreadWorkspace& ws,
-                                        ThreadPool& pool) {
-  assert(a_end <= idx_a.size());
-  ws.shared.pair.build_ab(ctx, idx_a, pos_a, idx_b, pos_b, ws.shared.map, a_begin,
-                          a_end);
-  const std::size_t rows = a_end > a_begin ? a_end - a_begin : 0;
-  const std::size_t nchunks = (rows + kChunkRows - 1) / kChunkRows;
-  ws.workers.resize(static_cast<std::size_t>(pool.size()));
-  ws.chunk_energy.assign(nchunks, EnergyTerms{});
-  for (auto& w : ws.workers) {
-    zero3(w.fax, w.fay, w.faz, idx_a.size());
-    zero3(w.fbx, w.fby, w.fbz, idx_b.size());
-    w.work = {};
-  }
-  pool.run(nchunks, [&](std::size_t task, int worker) {
-    auto& pw = ws.workers[static_cast<std::size_t>(worker)];
-    const std::size_t b = a_begin + task * kChunkRows;
-    const std::size_t e = std::min(a_end, b + kChunkRows);
-    ws.chunk_energy[task] =
-        ws.shared.pair.eval_rows(ctx, b, e, pw.fax.data(), pw.fay.data(),
-                                 pw.faz.data(), pw.fbx.data(), pw.fby.data(),
-                                 pw.fbz.data(), pw.row, pw.work);
-  });
-  EnergyTerms e;
-  for (const EnergyTerms& ce : ws.chunk_energy) e += ce;
-  for (const auto& pw : ws.workers) {
-    work += pw.work;
-    scatter3(f_a, pw.fax, pw.fay, pw.faz);
-    scatter3(f_b, pw.fbx, pw.fby, pw.fbz);
-  }
+  zero3(ws.fax, ws.fay, ws.faz, a.n, a_begin, a_end);
+  zero3(ws.fbx, ws.fby, ws.fbz, b.n);
+  const EnergyTerms e = ws.pair.eval_rows(
+      ctx, a_begin, a_end, ws.fax.data(), ws.fay.data(), ws.faz.data(),
+      ws.fbx.data(), ws.fby.data(), ws.fbz.data(), ws.row, work);
+  scatter3(f_a, ws.fax, ws.fay, ws.faz, a_begin, a_end);
+  scatter3(f_b, ws.fbx, ws.fby, ws.fbz);
   return e;
 }
 
@@ -630,7 +459,7 @@ EnergyTerms nonbonded_neighbors_tiled(const NonbondedContext& ctx, int gi,
                                       std::span<const int> nbrs,
                                       std::span<const std::uint8_t> codes,
                                       std::span<Vec3> f, WorkCounters& work,
-                                      TiledWorkspace& ws) {
+                                      RowScratch& rs) {
   assert(codes.size() == nbrs.size());
   const std::size_t m = nbrs.size();
   work.pairs_tested += m;
@@ -639,7 +468,6 @@ EnergyTerms nonbonded_neighbors_tiled(const NonbondedContext& ctx, int gi,
 
   const double s14 = ctx.params().scale14;
   const KernelConsts kc(ctx);
-  RowScratch& rs = ws.row;
   rs.ensure(m);
   const Vec3 ri = pos[static_cast<std::size_t>(gi)];
   const double qi_c = units::kCoulomb * ctx.charge(gi);

@@ -3,6 +3,7 @@
 #include <cstdio>
 #include <sstream>
 
+#include "ff/nonbonded_tiled.hpp"
 #include "util/random.hpp"
 
 namespace scalemd {
@@ -19,15 +20,6 @@ const char* lb_strategy_name(LbStrategyKind kind) {
   return "unknown";
 }
 
-const char* nonbonded_kernel_name(NonbondedKernel kernel) {
-  switch (kernel) {
-    case NonbondedKernel::kScalar:       return "scalar";
-    case NonbondedKernel::kTiled:        return "tiled";
-    case NonbondedKernel::kTiledThreads: return "tiled-threads";
-  }
-  return "unknown";
-}
-
 namespace {
 
 bool lb_from_name(const std::string& name, LbStrategyKind& out) {
@@ -36,18 +28,6 @@ bool lb_from_name(const std::string& name, LbStrategyKind& out) {
         LbStrategyKind::kGreedyNoComm, LbStrategyKind::kGreedy,
         LbStrategyKind::kGreedyRefine, LbStrategyKind::kDiffusion}) {
     if (name == lb_strategy_name(k)) {
-      out = k;
-      return true;
-    }
-  }
-  return false;
-}
-
-bool kernel_from_name(const std::string& name, NonbondedKernel& out) {
-  for (NonbondedKernel k :
-       {NonbondedKernel::kScalar, NonbondedKernel::kTiled,
-        NonbondedKernel::kTiledThreads}) {
-    if (name == nonbonded_kernel_name(k)) {
       out = k;
       return true;
     }
@@ -98,9 +78,9 @@ ScenarioSpec generate_scenario(std::uint64_t master_seed, int index) {
       LbStrategyKind::kGreedyRefine, LbStrategyKind::kDiffusion};
   s.lb = kLbs[rng.uniform_index(6)];
 
-  // kTiledThreads is excluded: every spec also runs on the threaded backend,
-  // where the runtime rejects it (nested thread pools; ParallelSim throws
-  // ParallelConfigError). validate_scenario enforces the same rule.
+  // kTiledThreads is excluded: the runtime rejects it on every backend
+  // (ParallelSim throws ParallelConfigError). validate_scenario enforces the
+  // same rule.
   constexpr NonbondedKernel kKernels[] = {NonbondedKernel::kScalar,
                                           NonbondedKernel::kTiled};
   s.kernel = kKernels[rng.uniform_index(2)];
@@ -167,8 +147,8 @@ std::string validate_scenario(const ScenarioSpec& s) {
   }
   if (s.num_pes < 1 || s.num_pes > 64) return "pes must be in [1, 64]";
   if (s.kernel == NonbondedKernel::kTiledThreads) {
-    return "kernel tiled-threads nests thread pools under the threaded "
-           "backend; use tiled";
+    return "kernel tiled+threads runs only in the sequential engine; the "
+           "runtime rejects it on every backend; use tiled";
   }
   if (s.threads < 1 || s.threads > 16) return "threads must be in [1, 16]";
   if (s.process_workers < 0 || s.process_workers > 8) {
@@ -236,7 +216,7 @@ std::string serialize_scenario(const ScenarioSpec& s) {
     line("process-workers " + std::to_string(s.process_workers));
   }
   line(std::string("lb ") + lb_strategy_name(s.lb));
-  line(std::string("kernel ") + nonbonded_kernel_name(s.kernel));
+  line(std::string("kernel ") + kernel_name(s.kernel));
   line("dt " + g17(s.dt_fs));
   line("cycles " + std::to_string(s.cycles));
   line("steps " + std::to_string(s.steps));

@@ -124,6 +124,5 @@ bool parse_scenario(const std::string& text, const std::string& file,
                     ScenarioSpec& spec, FaultPlanParseError& error);
 
 const char* lb_strategy_name(LbStrategyKind kind);
-const char* nonbonded_kernel_name(NonbondedKernel kernel);
 
 }  // namespace scalemd

@@ -15,7 +15,8 @@ SequentialEngine::SequentialEngine(const Molecule& mol, const EngineOptions& opt
                               mol.suggested_patch_size > 0.0 ? mol.suggested_patch_size
                                                              : opts.nonbonded.cutoff)),
       integrator_(opts.dt_fs),
-      forces_(static_cast<std::size_t>(mol.atom_count())) {
+      forces_(static_cast<std::size_t>(mol.atom_count())),
+      cell_pairs_(grid_.neighbor_pairs()) {
   mol_.params.finalize();
   charges_.reserve(forces_.size());
   lj_types_.reserve(forces_.size());
@@ -76,110 +77,82 @@ double SequentialEngine::evaluate_reciprocal(std::span<Vec3> out) {
   return e;
 }
 
-EnergyTerms SequentialEngine::eval_cells(const NonbondedContext& ctx,
-                                         std::span<Vec3> out) {
-  EnergyTerms energy;
+void SequentialEngine::layout_cells(const NonbondedContext& ctx) {
   const auto& pos = mol_.positions();
   const CellList cells(grid_, pos);
-  const int nc = grid_.cell_count();
-  const bool tiled = opts_.nonbonded.kernel == NonbondedKernel::kTiled;
+  cells_.clear(mol_.atom_count());
+  for (int c = 0; c < grid_.cell_count(); ++c) cells_.add(cells.atoms_in(c), pos);
+  if (opts_.nonbonded.kernel != NonbondedKernel::kScalar) cells_.gather_tiles(ctx);
+}
 
-  // Gather per-cell coordinate/force scratch (kernels operate on local
-  // arrays, exactly as patch-local computes do in the parallel core).
-  std::vector<std::vector<Vec3>> cpos(static_cast<std::size_t>(nc));
-  std::vector<std::vector<Vec3>> cfrc(static_cast<std::size_t>(nc));
-  for (int c = 0; c < nc; ++c) {
-    const auto atoms = cells.atoms_in(c);
-    auto& cp = cpos[static_cast<std::size_t>(c)];
-    cp.reserve(atoms.size());
-    for (int a : atoms) cp.push_back(pos[static_cast<std::size_t>(a)]);
-    cfrc[static_cast<std::size_t>(c)].assign(atoms.size(), Vec3{});
+EnergyTerms SequentialEngine::eval_cell_task(const NonbondedContext& ctx,
+                                             std::size_t task, std::span<Vec3> frc,
+                                             WorkCounters& work, TileScratch& scratch) {
+  const auto slice = [&](int c) {
+    return frc.subspan(cells_.offset(c), cells_.size(c));
+  };
+  const bool tiled = opts_.nonbonded.kernel != NonbondedKernel::kScalar;
+  const auto nc = static_cast<std::size_t>(cells_.sets());
+  if (task < nc) {
+    const int c = static_cast<int>(task);
+    return tiled ? nonbonded_self_tile_range(ctx, cells_.tile(c), c, cells_.where(),
+                                             slice(c), 0, cells_.size(c), work,
+                                             scratch)
+                 : nonbonded_self(ctx, cells_.atoms(c), cells_.pos(c), slice(c), work);
   }
+  const auto [a, b] = cell_pairs_[task - nc];
+  return tiled ? nonbonded_ab_tile_range(ctx, cells_.tile(a), slice(a), cells_.tile(b),
+                                         b, cells_.where(), slice(b), 0,
+                                         cells_.size(a), work, scratch)
+               : nonbonded_ab(ctx, cells_.atoms(a), cells_.pos(a), slice(a),
+                              cells_.atoms(b), cells_.pos(b), slice(b), work);
+}
 
-  for (int c = 0; c < nc; ++c) {
-    const auto sc = static_cast<std::size_t>(c);
-    energy += tiled ? nonbonded_self_tiled(ctx, cells.atoms_in(c), cpos[sc], cfrc[sc],
-                                           work_, tiled_ws_)
-                    : nonbonded_self(ctx, cells.atoms_in(c), cpos[sc], cfrc[sc], work_);
+EnergyTerms SequentialEngine::eval_cells(const NonbondedContext& ctx,
+                                         std::span<Vec3> out) {
+  layout_cells(ctx);
+  // Tasks in order: every cell's self interactions, then every neighbor
+  // pair, accumulating into cell-ordered forces scattered at the end.
+  cell_frc_.assign(cells_.atom_count(), Vec3{});
+  EnergyTerms energy;
+  const std::size_t ntasks = static_cast<std::size_t>(cells_.sets()) + cell_pairs_.size();
+  for (std::size_t t = 0; t < ntasks; ++t) {
+    energy += eval_cell_task(ctx, t, cell_frc_, work_, tile_scratch_);
   }
-  for (const auto& [a, b] : grid_.neighbor_pairs()) {
-    const auto sa = static_cast<std::size_t>(a);
-    const auto sb = static_cast<std::size_t>(b);
-    energy += tiled ? nonbonded_ab_tiled(ctx, cells.atoms_in(a), cpos[sa], cfrc[sa],
-                                         cells.atoms_in(b), cpos[sb], cfrc[sb], work_,
-                                         tiled_ws_)
-                    : nonbonded_ab(ctx, cells.atoms_in(a), cpos[sa], cfrc[sa],
-                                   cells.atoms_in(b), cpos[sb], cfrc[sb], work_);
-  }
-
-  for (int c = 0; c < nc; ++c) {
-    const auto atoms = cells.atoms_in(c);
-    const auto& cf = cfrc[static_cast<std::size_t>(c)];
-    for (std::size_t i = 0; i < atoms.size(); ++i) {
-      out[static_cast<std::size_t>(atoms[i])] += cf[i];
-    }
+  const auto atoms = cells_.atoms();
+  for (std::size_t k = 0; k < atoms.size(); ++k) {
+    out[static_cast<std::size_t>(atoms[k])] += cell_frc_[k];
   }
   return energy;
 }
 
 EnergyTerms SequentialEngine::eval_cells_mt(const NonbondedContext& ctx,
                                             std::span<Vec3> out) {
-  const auto& pos = mol_.positions();
-  const CellList cells(grid_, pos);
-  const int nc = grid_.cell_count();
+  layout_cells(ctx);
   ThreadPool& tp = pool();
-
-  std::vector<std::vector<Vec3>> cpos(static_cast<std::size_t>(nc));
-  for (int c = 0; c < nc; ++c) {
-    const auto atoms = cells.atoms_in(c);
-    auto& cp = cpos[static_cast<std::size_t>(c)];
-    cp.reserve(atoms.size());
-    for (int a : atoms) cp.push_back(pos[static_cast<std::size_t>(a)]);
-  }
-
   nb_workers_.resize(static_cast<std::size_t>(tp.size()));
   for (auto& w : nb_workers_) {
-    w.cell_frc.resize(static_cast<std::size_t>(nc));
-    for (int c = 0; c < nc; ++c) {
-      w.cell_frc[static_cast<std::size_t>(c)].assign(cells.atoms_in(c).size(), Vec3{});
-    }
+    w.frc.assign(cells_.atom_count(), Vec3{});
     w.work = {};
   }
 
-  // Tasks: one per self compute, then one per neighbor-pair compute. The
-  // static schedule plus per-worker buffers keeps the reduction
-  // deterministic for a fixed thread count.
-  const auto pairs = grid_.neighbor_pairs();
-  const std::size_t ntasks = static_cast<std::size_t>(nc) + pairs.size();
+  // The serial path's tasks on the pool. The static schedule plus
+  // per-worker buffers keeps the reduction deterministic for a fixed thread
+  // count.
+  const std::size_t ntasks = static_cast<std::size_t>(cells_.sets()) + cell_pairs_.size();
   task_energy_.assign(ntasks, EnergyTerms{});
   tp.run(ntasks, [&](std::size_t t, int worker) {
     NbWorker& w = nb_workers_[static_cast<std::size_t>(worker)];
-    if (t < static_cast<std::size_t>(nc)) {
-      const int c = static_cast<int>(t);
-      task_energy_[t] =
-          nonbonded_self_tiled(ctx, cells.atoms_in(c), cpos[t],
-                               w.cell_frc[t], w.work, w.ws);
-    } else {
-      const auto& [a, b] = pairs[t - static_cast<std::size_t>(nc)];
-      const auto sa = static_cast<std::size_t>(a);
-      const auto sb = static_cast<std::size_t>(b);
-      task_energy_[t] =
-          nonbonded_ab_tiled(ctx, cells.atoms_in(a), cpos[sa], w.cell_frc[sa],
-                             cells.atoms_in(b), cpos[sb], w.cell_frc[sb], w.work,
-                             w.ws);
-    }
+    task_energy_[t] = eval_cell_task(ctx, t, w.frc, w.work, w.scratch);
   });
 
   EnergyTerms energy;
   for (const EnergyTerms& e : task_energy_) energy += e;
+  const auto atoms = cells_.atoms();
   for (const auto& w : nb_workers_) {
     work_ += w.work;
-    for (int c = 0; c < nc; ++c) {
-      const auto atoms = cells.atoms_in(c);
-      const auto& cf = w.cell_frc[static_cast<std::size_t>(c)];
-      for (std::size_t i = 0; i < atoms.size(); ++i) {
-        out[static_cast<std::size_t>(atoms[i])] += cf[i];
-      }
+    for (std::size_t k = 0; k < atoms.size(); ++k) {
+      out[static_cast<std::size_t>(atoms[k])] += w.frc[k];
     }
   }
   return energy;
@@ -221,7 +194,8 @@ EnergyTerms SequentialEngine::eval_pairlist(const NonbondedContext& ctx,
     const auto nbrs = pairlist_->neighbors(i);
     const auto off = code_off_[static_cast<std::size_t>(i)];
     energy += nonbonded_neighbors_tiled(
-        ctx, i, pos, nbrs, {codes_.data() + off, nbrs.size()}, out, work_, tiled_ws_);
+        ctx, i, pos, nbrs, {codes_.data() + off, nbrs.size()}, out, work_,
+        tile_scratch_.row);
   }
   return energy;
 }
@@ -252,7 +226,7 @@ EnergyTerms SequentialEngine::eval_pairlist_mt(const NonbondedContext& ctx,
       const auto off = code_off_[i];
       e += nonbonded_neighbors_tiled(ctx, static_cast<int>(i), pos, nbrs,
                                      {codes_.data() + off, nbrs.size()}, w.frc,
-                                     w.work, w.ws);
+                                     w.work, w.scratch.row);
     }
     task_energy_[t] = e;
   });

@@ -14,6 +14,7 @@
 #include "seq/pairlist.hpp"
 #include "topo/exclusions.hpp"
 #include "topo/molecule.hpp"
+#include "util/thread_pool.hpp"
 
 namespace scalemd {
 
@@ -96,6 +97,14 @@ class SequentialEngine {
   /// identical WorkCounters and matching forces/energies.
   EnergyTerms eval_cells(const NonbondedContext& ctx, std::span<Vec3> out);
   EnergyTerms eval_cells_mt(const NonbondedContext& ctx, std::span<Vec3> out);
+  /// Sorts the atoms into cells_ (tiles gathered for the tiled kernels).
+  void layout_cells(const NonbondedContext& ctx);
+  /// One task of a cell sweep: cell `task`'s self interactions, or for
+  /// task >= cell count neighbor pair task - cell count. Forces are added
+  /// into `frc`, indexed in cells_ order.
+  EnergyTerms eval_cell_task(const NonbondedContext& ctx, std::size_t task,
+                             std::span<Vec3> frc, WorkCounters& work,
+                             TileScratch& scratch);
   EnergyTerms eval_pairlist(const NonbondedContext& ctx, std::span<Vec3> out);
   EnergyTerms eval_pairlist_mt(const NonbondedContext& ctx, std::span<Vec3> out);
   /// Full-electrostatics long-range remainder (PME reciprocal + self energy
@@ -115,19 +124,23 @@ class SequentialEngine {
   std::unique_ptr<VerletList> pairlist_;  // present when options request it
   std::unique_ptr<Pme> pme_;  // present when options.nonbonded.full_elec is on
   std::vector<Vec3> forces_;
+  std::vector<std::pair<int, int>> cell_pairs_;  // grid_.neighbor_pairs()
   EnergyTerms energy_;
   WorkCounters work_;
   StepObserver observer_;
   int steps_done_ = 0;
 
-  // --- tiled-kernel machinery (created on demand) ---------------------
-  TiledWorkspace tiled_ws_;
+  // --- cell sweep and tiled-kernel machinery --------------------------
+  /// The atoms of the current cell sweep in cell order, laid out as the
+  /// parallel runtime lays out its patches.
+  SetLayout cells_;
+  std::vector<Vec3> cell_frc_;  // serial cell sweep: forces in cells_ order
+  TileScratch tile_scratch_;
   std::unique_ptr<ThreadPool> pool_;
   /// Per-pool-worker state for NonbondedKernel::kTiledThreads.
   struct NbWorker {
-    TiledWorkspace ws;
-    std::vector<std::vector<Vec3>> cell_frc;  // cell path: per-cell buffers
-    std::vector<Vec3> frc;                    // pairlist path: global buffer
+    TileScratch scratch;
+    std::vector<Vec3> frc;  // cells_ order (cell path) or global (pairlist)
     WorkCounters work;
   };
   std::vector<NbWorker> nb_workers_;

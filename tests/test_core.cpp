@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <iomanip>
 #include <string>
 
 #include "core/compute_plan.hpp"
@@ -180,13 +182,25 @@ TEST_F(CoreFixture, ParallelTrajectoryMatchesSequentialAcrossCyclesWithMigration
 }
 
 TEST_F(CoreFixture, PotentialAtStepZeroMatchesWorkCache) {
-  ParallelOptions opts;
-  opts.num_pes = 4;
-  opts.numeric = true;
-  ParallelSim sim(*workload_, opts);
-  sim.run_cycle(1);
-  EXPECT_NEAR(sim.potential_at_step(0), workload_->work.energy().total(),
-              1e-6 * std::fabs(workload_->work.energy().total()));
+  // The Workload's work pass and the runtime's first force round run the
+  // same evaluator on the same data and fold computes in the same order, so
+  // they agree bit for bit, term by term, under either kernel.
+  for (NonbondedKernel kernel : {NonbondedKernel::kScalar, NonbondedKernel::kTiled}) {
+    NonbondedOptions nb = nb_;
+    nb.kernel = kernel;
+    const Workload wl(*mol_, MachineModel::asci_red(), nb);
+    ParallelOptions opts;
+    opts.num_pes = 4;
+    opts.numeric = true;
+    ParallelSim sim(wl, opts);
+    sim.run_cycle(1);
+    const EnergyTerms got = sim.potential_terms_at_step(0);
+    const EnergyTerms& want = wl.work.energy();
+    EXPECT_NE(want.bond, 0.0);
+    EXPECT_EQ(std::memcmp(&got, &want, sizeof(EnergyTerms)), 0)
+        << kernel_name(kernel) << ": runtime " << std::setprecision(17)
+        << got.total() << " vs work pass " << want.total();
+  }
 }
 
 TEST_F(CoreFixture, ReductionCountsPatchesFrozenMode) {
@@ -324,7 +338,7 @@ TEST(ParallelConfigTest, RejectsUnrunnableConfigurationsWithNamedErrors) {
   nb.switch_dist = 5.5;
   const Workload tiled(mol, MachineModel::asci_red(), nb);
   nb.kernel = NonbondedKernel::kTiledThreads;
-  const Workload nested(mol, MachineModel::asci_red(), nb);
+  const Workload seq_only(mol, MachineModel::asci_red(), nb);
 
   // The error names the broken rule; `rule` is a word of that name.
   const auto rejects = [](const Workload& wl, const ParallelOptions& o,
@@ -346,10 +360,11 @@ TEST(ParallelConfigTest, RejectsUnrunnableConfigurationsWithNamedErrors) {
   ParallelOptions des = threads;
   des.backend = BackendKind::kSimulated;
 
-  // Kernel nesting on both real backends; the DES runs it.
-  rejects(nested, threads, "nest thread pools");
-  rejects(nested, process, "nest thread pools");
-  EXPECT_NO_THROW({ ParallelSim sim(nested, des); });
+  // tiled+threads is the sequential engine's kernel: every backend rejects
+  // it.
+  for (const ParallelOptions& o : {threads, process, des}) {
+    rejects(seq_only, o, "tiled+threads");
+  }
 
   // DES-only layers, and frozen mode, on both real backends.
   for (const ParallelOptions& real : {threads, process}) {
@@ -381,6 +396,30 @@ TEST(ParallelConfigTest, RejectsUnrunnableConfigurationsWithNamedErrors) {
   Workload edited(mol, MachineModel::asci_red(), tiled.nonbonded);
   edited.nonbonded.full_elec = bad.full_elec;
   rejects(edited, des, "grid_x");
+}
+
+// sim() names its error off the DES instead of dereferencing a null machine;
+// the unit label is built with -DNDEBUG, so this pins release behaviour.
+TEST(ParallelConfigTest, SimAccessorThrowsOffTheSimulatedBackend) {
+  Molecule mol = make_water_box({16, 16, 16}, 5);
+  NonbondedOptions nb;
+  nb.cutoff = 6.5;
+  nb.switch_dist = 5.5;
+  const Workload wl(mol, MachineModel::asci_red(), nb);
+  ParallelOptions opts;
+  opts.num_pes = 2;
+  opts.threads = 2;
+  opts.numeric = true;
+  for (BackendKind backend : {BackendKind::kThreaded, BackendKind::kProcess}) {
+    opts.backend = backend;
+    ParallelSim sim(wl, opts);
+    EXPECT_THROW(sim.sim(), ParallelConfigError) << backend_name(backend);
+    const ParallelSim& view = sim;
+    EXPECT_THROW(view.sim(), ParallelConfigError) << backend_name(backend);
+  }
+  opts.backend = BackendKind::kSimulated;
+  ParallelSim des(wl, opts);
+  EXPECT_EQ(&des.sim(), &des.backend());
 }
 
 TEST(ComputePlanTest, SplittingReducesMaxGrainEstimate) {

@@ -4,6 +4,7 @@
 #include <cctype>
 #include <cmath>
 #include <cstring>
+#include <initializer_list>
 #include <numeric>
 #include <string>
 #include <vector>
@@ -66,8 +67,25 @@ struct KernelSystem {
   std::unique_ptr<NonbondedContext> ctx;
 };
 
+/// `sets` (global atom ids) laid out one after another with their SoA tiles,
+/// as the engines lay out cells and patches.
+SetLayout layout_of(const KernelSystem& sys,
+                    std::initializer_list<std::span<const int>> sets) {
+  SetLayout layout;
+  layout.clear(sys.mol.atom_count());
+  for (std::span<const int> set : sets) layout.add(set, sys.mol.positions());
+  layout.gather_tiles(*sys.ctx);
+  return layout;
+}
+
+std::vector<Vec3> positions_of(const KernelSystem& sys, std::span<const int> idx) {
+  std::vector<Vec3> pos;
+  for (int i : idx) pos.push_back(sys.mol.positions()[static_cast<std::size_t>(i)]);
+  return pos;
+}
+
 // ---------------------------------------------------------------------------
-// Direct kernel equivalence: the tiled entry points against their scalar
+// Direct kernel equivalence: the tile entry points against their scalar
 // counterparts on a bonded chain (exclusions + 1-4 pairs present).
 // ---------------------------------------------------------------------------
 
@@ -80,14 +98,16 @@ TEST(TiledKernelTest, SelfMatchesScalarOnBondedChain) {
   std::vector<int> idx(static_cast<std::size_t>(n));
   std::iota(idx.begin(), idx.end(), 0);
   const auto pos = sys.mol.positions();
+  const SetLayout layout = layout_of(sys, {idx});
 
   std::vector<Vec3> f_ref(static_cast<std::size_t>(n));
   std::vector<Vec3> f_tiled(static_cast<std::size_t>(n));
   WorkCounters w_ref, w_tiled;
   const EnergyTerms e_ref = nonbonded_self(*sys.ctx, idx, pos, f_ref, w_ref);
-  TiledWorkspace ws;
+  TileScratch scratch;
   const EnergyTerms e_tiled =
-      nonbonded_self_tiled(*sys.ctx, idx, pos, f_tiled, w_tiled, ws);
+      nonbonded_self_tile_range(*sys.ctx, layout.tile(0), 0, layout.where(), f_tiled,
+                                0, idx.size(), w_tiled, scratch);
 
   expect_energy_close(e_tiled, e_ref);
   expect_forces_close(f_tiled, f_ref);
@@ -108,18 +128,18 @@ TEST(TiledKernelTest, AbMatchesScalarAcrossBondedSplit) {
   const int half = n / 2 + 1;  // odd split, mid-residue
   std::vector<int> ia, ib;
   for (int i = 0; i < n; ++i) (i < half ? ia : ib).push_back(i);
-  std::vector<Vec3> pa, pb;
-  for (int i : ia) pa.push_back(sys.mol.positions()[static_cast<std::size_t>(i)]);
-  for (int i : ib) pb.push_back(sys.mol.positions()[static_cast<std::size_t>(i)]);
+  const std::vector<Vec3> pa = positions_of(sys, ia), pb = positions_of(sys, ib);
+  const SetLayout layout = layout_of(sys, {ia, ib});
 
   std::vector<Vec3> fa_ref(pa.size()), fb_ref(pb.size());
   std::vector<Vec3> fa_t(pa.size()), fb_t(pb.size());
   WorkCounters w_ref, w_tiled;
   const EnergyTerms e_ref =
       nonbonded_ab(*sys.ctx, ia, pa, fa_ref, ib, pb, fb_ref, w_ref);
-  TiledWorkspace ws;
+  TileScratch scratch;
   const EnergyTerms e_tiled =
-      nonbonded_ab_tiled(*sys.ctx, ia, pa, fa_t, ib, pb, fb_t, w_tiled, ws);
+      nonbonded_ab_tile_range(*sys.ctx, layout.tile(0), fa_t, layout.tile(1), 1,
+                              layout.where(), fb_t, 0, ia.size(), w_tiled, scratch);
 
   expect_energy_close(e_tiled, e_ref);
   expect_forces_close(fa_t, fa_ref);
@@ -138,21 +158,21 @@ TEST(TiledKernelTest, RangePartitionSumsToFullEvaluation) {
   const int n = sys.mol.atom_count();
   std::vector<int> idx(static_cast<std::size_t>(n));
   std::iota(idx.begin(), idx.end(), 0);
-  const auto pos = sys.mol.positions();
+  const SetLayout layout = layout_of(sys, {idx});
 
-  TiledWorkspace ws;
-  std::vector<Vec3> f_full(static_cast<std::size_t>(n));
+  TileScratch scratch;
+  const std::size_t un = static_cast<std::size_t>(n);
+  std::vector<Vec3> f_full(un);
   WorkCounters w_full;
-  const EnergyTerms e_full =
-      nonbonded_self_tiled(*sys.ctx, idx, pos, f_full, w_full, ws);
+  const EnergyTerms e_full = nonbonded_self_tile_range(
+      *sys.ctx, layout.tile(0), 0, layout.where(), f_full, 0, un, w_full, scratch);
 
-  std::vector<Vec3> f_sum(static_cast<std::size_t>(n));
+  std::vector<Vec3> f_sum(un);
   WorkCounters w_sum;
   EnergyTerms e_sum;
-  const std::size_t un = static_cast<std::size_t>(n);
   for (std::size_t b = 0; b < un; b += 37) {
-    e_sum += nonbonded_self_range_tiled(*sys.ctx, idx, pos, f_sum, b,
-                                        std::min(un, b + 37), w_sum, ws);
+    e_sum += nonbonded_self_tile_range(*sys.ctx, layout.tile(0), 0, layout.where(),
+                                       f_sum, b, std::min(un, b + 37), w_sum, scratch);
   }
 
   EXPECT_EQ(w_sum.pairs_tested, w_full.pairs_tested);
@@ -161,48 +181,11 @@ TEST(TiledKernelTest, RangePartitionSumsToFullEvaluation) {
   expect_forces_close(f_sum, f_full);
 }
 
-TEST(TiledKernelTest, ThreadedRangeMatchesSerialTiled) {
-  NonbondedOptions opts;
-  opts.cutoff = 6.5;
-  opts.switch_dist = 5.5;
-  KernelSystem sys(small_solvated_chain(700, 17), opts);
-  const int n = sys.mol.atom_count();
-  std::vector<int> idx(static_cast<std::size_t>(n));
-  std::iota(idx.begin(), idx.end(), 0);
-  const auto pos = sys.mol.positions();
-
-  TiledWorkspace ws;
-  std::vector<Vec3> f_serial(static_cast<std::size_t>(n));
-  WorkCounters w_serial;
-  const EnergyTerms e_serial =
-      nonbonded_self_tiled(*sys.ctx, idx, pos, f_serial, w_serial, ws);
-
-  ThreadPool pool(3);
-  TiledThreadWorkspace tws;
-  std::vector<Vec3> f_mt(static_cast<std::size_t>(n));
-  WorkCounters w_mt;
-  const EnergyTerms e_mt = nonbonded_self_range_tiled_mt(
-      *sys.ctx, idx, pos, f_mt, 0, static_cast<std::size_t>(n), w_mt, tws, pool);
-
-  EXPECT_EQ(w_mt.pairs_tested, w_serial.pairs_tested);
-  EXPECT_EQ(w_mt.pairs_computed, w_serial.pairs_computed);
-  expect_energy_close(e_mt, e_serial);
-  expect_forces_close(f_mt, f_serial);
-}
-
-// ---------------------------------------------------------------------------
-// Runtime path: tiles gathered once by the caller, masks for the evaluated
-// rows only, exclusion partners located through an atom-slot table. It must
-// reproduce the gather-based entry points bit for bit, split ranges
-// included (ParallelSim runs split computes through it).
-// ---------------------------------------------------------------------------
-
-bool same_bits(std::span<const Vec3> a, std::span<const Vec3> b) {
-  return a.size() == b.size() &&
-         std::memcmp(a.data(), b.data(), a.size() * sizeof(Vec3)) == 0;
-}
-
-TEST(TiledKernelTest, RuntimeTilesReproduceGatherPathBitwise) {
+// The split pieces the runtime evaluates, on interleaved sets whose
+// exclusions cross the set boundary, through one scratch reused across
+// differently shaped calls (stale masks would show), against the scalar
+// range kernels.
+TEST(TiledKernelTest, TileRangesMatchScalarRangesAcrossSetBoundary) {
   NonbondedOptions opts;
   opts.cutoff = 7.5;
   opts.switch_dist = 6.5;
@@ -212,28 +195,11 @@ TEST(TiledKernelTest, RuntimeTilesReproduceGatherPathBitwise) {
   // neither set is a contiguous id range.
   std::vector<int> ia, ib;
   for (int i = 0; i < n; ++i) ((i / 5) % 2 == 0 ? ia : ib).push_back(i);
-  std::vector<Vec3> pa, pb;
-  for (int i : ia) pa.push_back(sys.mol.positions()[static_cast<std::size_t>(i)]);
-  for (int i : ib) pb.push_back(sys.mol.positions()[static_cast<std::size_t>(i)]);
-  std::vector<AtomSlot> where(static_cast<std::size_t>(n));
-  for (std::size_t i = 0; i < ia.size(); ++i) {
-    where[static_cast<std::size_t>(ia[i])] = {0, static_cast<int>(i)};
-  }
-  for (std::size_t j = 0; j < ib.size(); ++j) {
-    where[static_cast<std::size_t>(ib[j])] = {1, static_cast<int>(j)};
-  }
-  // Both sets in one storage, b's slice after a's, as the runtime lays out
-  // its patches.
-  TileSoA tiles;
-  tiles.resize(ia.size() + ib.size());
-  tiles.gather_at(0, *sys.ctx, ia, pa);
-  tiles.gather_at(ia.size(), *sys.ctx, ib, pb);
-  const TileView ta = tiles.view(0, ia.size());
-  const TileView tb = tiles.view(ia.size(), ib.size());
+  const std::vector<Vec3> pa = positions_of(sys, ia), pb = positions_of(sys, ib);
+  const SetLayout layout = layout_of(sys, {ia, ib});
+  const TileView ta = layout.tile(0);
+  const TileView tb = layout.tile(1);
 
-  // One gather workspace and one runtime scratch reused across every call,
-  // so stale masks from a differently shaped call would show.
-  TiledWorkspace ws;
   TileScratch scratch;
   const std::size_t na = ia.size();
   const std::vector<std::pair<std::size_t, std::size_t>> pieces = {
@@ -241,42 +207,25 @@ TEST(TiledKernelTest, RuntimeTilesReproduceGatherPathBitwise) {
 
   std::vector<Vec3> fa_ref(na), fa_got(na), fb_ref(ib.size()), fb_got(ib.size());
   std::vector<Vec3> fs_ref(na), fs_got(na);
-  WorkCounters w_ref, w_got;
+  WorkCounters w_total;
   for (const auto& [b, e] : pieces) {
-    const EnergyTerms ab_ref = nonbonded_ab_range_tiled(
-        *sys.ctx, ia, pa, fa_ref, ib, pb, fb_ref, b, e, w_ref, ws);
-    const EnergyTerms ab_got = nonbonded_ab_tile_range(
-        *sys.ctx, ta, fa_got, tb, 1, where, fb_got, b, e, w_got, scratch);
-    EXPECT_EQ(ab_got.lj, ab_ref.lj) << "ab rows " << b << ".." << e;
-    EXPECT_EQ(ab_got.elec, ab_ref.elec) << "ab rows " << b << ".." << e;
-
-    const EnergyTerms self_ref =
-        nonbonded_self_range_tiled(*sys.ctx, ia, pa, fs_ref, b, e, w_ref, ws);
-    const EnergyTerms self_got = nonbonded_self_tile_range(
-        *sys.ctx, ta, 0, where, fs_got, b, e, w_got, scratch);
-    EXPECT_EQ(self_got.lj, self_ref.lj) << "self rows " << b << ".." << e;
-    EXPECT_EQ(self_got.elec, self_ref.elec) << "self rows " << b << ".." << e;
+    WorkCounters w_ref, w_got;
+    expect_energy_close(
+        nonbonded_ab_tile_range(*sys.ctx, ta, fa_got, tb, 1, layout.where(), fb_got,
+                                b, e, w_got, scratch),
+        nonbonded_ab_range(*sys.ctx, ia, pa, fa_ref, ib, pb, fb_ref, b, e, w_ref));
+    expect_energy_close(
+        nonbonded_self_tile_range(*sys.ctx, ta, 0, layout.where(), fs_got, b, e,
+                                  w_got, scratch),
+        nonbonded_self_range(*sys.ctx, ia, pa, fs_ref, b, e, w_ref));
+    EXPECT_EQ(w_got.pairs_tested, w_ref.pairs_tested) << "rows " << b << ".." << e;
+    EXPECT_EQ(w_got.pairs_computed, w_ref.pairs_computed) << "rows " << b << ".." << e;
+    w_total += w_got;
   }
-  EXPECT_TRUE(same_bits(fa_got, fa_ref));
-  EXPECT_TRUE(same_bits(fb_got, fb_ref));
-  EXPECT_TRUE(same_bits(fs_got, fs_ref));
-  EXPECT_EQ(w_got.pairs_tested, w_ref.pairs_tested);
-  EXPECT_EQ(w_got.pairs_computed, w_ref.pairs_computed);
-  EXPECT_GT(w_got.pairs_computed, 0u);
-
-  // The sets do share exclusions: the runtime path must still agree with the
-  // scalar reference on them (within rounding), not just with itself.
-  std::vector<Vec3> fa_s(na), fb_s(ib.size());
-  WorkCounters w_s;
-  const EnergyTerms e_s =
-      nonbonded_ab(*sys.ctx, ia, pa, fa_s, ib, pb, fb_s, w_s);
-  std::vector<Vec3> fa_t(na), fb_t(ib.size());
-  WorkCounters w_t;
-  const EnergyTerms e_t = nonbonded_ab_tile_range(*sys.ctx, ta, fa_t, tb, 1, where,
-                                                  fb_t, 0, na, w_t, scratch);
-  expect_energy_close(e_t, e_s);
-  expect_forces_close(fa_t, fa_s);
-  expect_forces_close(fb_t, fb_s);
+  expect_forces_close(fa_got, fa_ref);
+  expect_forces_close(fb_got, fb_ref);
+  expect_forces_close(fs_got, fs_ref);
+  EXPECT_GT(w_total.pairs_computed, 0u);
 }
 
 // ---------------------------------------------------------------------------
@@ -408,7 +357,6 @@ TEST(TiledCoreTest, ParallelSimNumericForcesMatchAcrossKernels) {
   auto forces_with = [&](NonbondedKernel kernel) {
     NonbondedOptions k = nb;
     k.kernel = kernel;
-    k.threads = 2;
     const Workload wl(m, MachineModel::asci_red(), k);
     ParallelOptions opts;
     opts.num_pes = 5;
@@ -419,9 +367,8 @@ TEST(TiledCoreTest, ParallelSimNumericForcesMatchAcrossKernels) {
     return sim.gather_forces();
   };
 
-  const auto ref = forces_with(NonbondedKernel::kScalar);
-  expect_forces_close(forces_with(NonbondedKernel::kTiled), ref);
-  expect_forces_close(forces_with(NonbondedKernel::kTiledThreads), ref);
+  expect_forces_close(forces_with(NonbondedKernel::kTiled),
+                      forces_with(NonbondedKernel::kScalar));
 }
 
 // Frozen mode (the paper tables) prices tasks from the Workload's probe and

@@ -2,9 +2,10 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cstdio>
-#include <map>
 #include <cmath>
+#include <cstdio>
+#include <cstdlib>
+#include <map>
 #include <string>
 
 #include <fcntl.h>
@@ -20,6 +21,7 @@
 #include "lb/refine.hpp"
 #include "rts/multicast.hpp"
 #include "rts/threaded_backend.hpp"
+#include "rts/wire.hpp"
 #include "seq/integrator.hpp"
 #include "util/units.hpp"
 
@@ -33,7 +35,7 @@ namespace scalemd {
 struct ParallelSim::PatchRt {
   std::vector<int> atoms;  ///< global atom ids
   std::vector<Vec3> pos, vel, frc;
-  std::vector<double> mass;
+  std::vector<double> mass;   ///< derived: refresh_atom_index()
   int step = 0;               ///< next advance index within the cycle
   int contrib_expected = 0;   ///< PEs (incl. home) that send force contributions
   int contrib_received = 0;
@@ -47,6 +49,13 @@ struct ParallelSim::PatchRt {
   std::vector<std::vector<Vec3>> pme_frc;
 
   int natoms() const { return static_cast<int>(atoms.size()); }
+
+  /// Wire field list: the part of a patch a SimState keeps. The rest is
+  /// derived or per-round, and rebuilt after a restore.
+  template <class Ar>
+  void fields(Ar& ar) {
+    ar(atoms, pos, vel, frc, step);
+  }
 };
 
 /// Proxy-patch state for one (patch, pe): the compute objects on that PE
@@ -91,26 +100,94 @@ struct ParallelSim::PmeSlabRt {
   std::vector<std::complex<double>> planes, columns;
 };
 
-/// Coordinated in-memory checkpoint: everything needed to replay from a
-/// quiesced cycle boundary. Placement (patch_home/compute_pe) is captured
-/// too, so a restore rewinds any load balancing done since, and evacuation
-/// always starts from a self-consistent snapshot.
-struct ParallelSim::Checkpoint {
-  double taken_at = 0.0;  ///< virtual time of the snapshot
-  std::vector<PatchRt> patches;
-  std::vector<std::pair<int, int>> atom_loc;
-  std::vector<std::vector<int>> compute_deps;
+/// Everything needed to resume from a quiesced cycle boundary, and nothing
+/// the sim can rebuild: atom_loc_, masses and the bonded computes' patch
+/// dependencies follow from the patches' atom ids (refresh_atom_index).
+/// Every checkpoint (DES in memory, process on disk) and every
+/// export_state() blob is this record, encoded. Placement is captured, so a
+/// restore rewinds any load balancing done since and evacuation always
+/// starts from a self-consistent snapshot.
+struct ParallelSim::SimState {
+  std::vector<PatchRt> patches;  ///< pos/vel/frc empty in frozen mode
   std::vector<int> patch_home;
   std::vector<int> compute_pe;
   std::vector<int> slab_pe;  ///< PME slab placement (empty when PME is off)
+  // Per-step history.
   std::vector<double> reduction_totals;
   std::vector<EnergyTerms> potential_per_step;
   std::vector<double> step_completion;
   std::vector<double> step_last_advance;
   std::vector<int> steps_done_counter;
   int global_steps = 0;
-  Rng noise_rng{0};
+  Rng::State rng{};
+
+  template <class Ar>
+  void fields(Ar& ar) {
+    ar(patches, patch_home, compute_pe, slab_pe, reduction_totals, potential_per_step,
+       step_completion, step_last_advance, steps_done_counter, global_steps, rng);
+  }
 };
+
+namespace {
+
+/// Checks a record from a forked worker of the same run. A bad one is a
+/// bug, not an input error, so it aborts.
+void wire_check(bool ok, const char* what) {
+  if (ok) return;
+  std::fprintf(stderr, "[scalemd] process wire: %s\n", what);
+  std::abort();
+}
+
+// Message records crossing a worker boundary (process backend). Senders
+// attach the encoded record only when the receiver lives in another worker;
+// in-process receivers read the sender's state directly.
+
+/// One patch's per-atom vectors for one force round: coordinates to a
+/// proxy, an atom deposit to a PME slab, or a slab's force share back.
+struct PatchRound {
+  int patch = 0;
+  int step = 0;
+  int slab = -1;  ///< PME messages only
+  std::vector<Vec3> v;
+
+  template <class Ar>
+  void fields(Ar& ar) {
+    ar(patch, step, slab, v);
+  }
+};
+
+/// One proxy's force scratch slots (in slot order), back to the patch home.
+struct ProxySlots {
+  int patch = 0;
+  int proxy = 0;
+  std::vector<std::vector<Vec3>> slots;
+
+  template <class Ar>
+  void fields(Ar& ar) {
+    ar(patch, proxy, slots);
+  }
+};
+
+/// One PME transpose block between two slabs (either direction).
+struct TransposeBlock {
+  int dst = 0;
+  int src = 0;
+  std::vector<double> block;
+
+  template <class Ar>
+  void fields(Ar& ar) {
+    ar(dst, src, block);
+  }
+};
+
+template <class T>
+T decode_record(const WirePayload& w, const char* what) {
+  T rec;
+  wire_check(wire::decode(w, rec), what);
+  return rec;
+}
+
+}  // namespace
 
 // ---------------------------------------------------------------------------
 // Workload
@@ -477,9 +554,7 @@ void ParallelSim::publish_coords(ExecContext& ctx, int patch) {
   // This round's tile, before any compute reading the patch can be
   // scheduled (the home proxy below runs them straight away).
   gather_tile(patch);
-  const std::size_t bytes = static_cast<std::size_t>(opts_.msg_header_bytes) +
-                            static_cast<std::size_t>(pr.natoms()) *
-                                static_cast<std::size_t>(opts_.bytes_per_atom_coord);
+  const std::size_t bytes = msg_bytes(pr.atoms.size(), opts_.bytes_per_atom_coord);
 
   // Home-side proxy (if any computes run here) is serviced directly.
   std::vector<int> remote;
@@ -500,22 +575,13 @@ void ParallelSim::publish_coords(ExecContext& ctx, int patch) {
         // Proxies in another worker process cannot read the home replica;
         // ship the step index and the coordinates themselves.
         if (proc_ != nullptr && proc_->owner_of(pe) != proc_->owner_of(home)) {
-          msg.has_wire = true;
-          msg.wire.ints = {patch, pr.step};
-          msg.wire.reals.reserve(pr.pos.size() * 3);
-          for (const Vec3& v : pr.pos) {
-            msg.wire.reals.push_back(v.x);
-            msg.wire.reals.push_back(v.y);
-            msg.wire.reals.push_back(v.z);
-          }
+          msg.wire = wire::encode(PatchRound{patch, pr.step, -1, pr.pos});
         }
         msg.fn = [this, patch, pe](ExecContext& c) {
           c.charge_pack(
               static_cast<double>(
-                  static_cast<std::size_t>(opts_.msg_header_bytes) +
-                  static_cast<std::size_t>(
-                      patches_[static_cast<std::size_t>(patch)].natoms()) *
-                      static_cast<std::size_t>(opts_.bytes_per_atom_coord)) *
+                  msg_bytes(patches_[static_cast<std::size_t>(patch)].atoms.size(),
+                            opts_.bytes_per_atom_coord)) *
               c.machine().unpack_byte_cost);
           on_recv_coords(c, patch, pe);
         };
@@ -623,31 +689,18 @@ void ParallelSim::complete_patch_on_pe(ExecContext& ctx, int patch, int pe) {
     on_contribution(ctx, patch, pxy);
     return;
   }
-  const std::size_t bytes = static_cast<std::size_t>(opts_.msg_header_bytes) +
-                            static_cast<std::size_t>(
-                                patches_[static_cast<std::size_t>(patch)].natoms()) *
-                                static_cast<std::size_t>(opts_.bytes_per_atom_force);
+  const std::size_t bytes = msg_bytes(
+      patches_[static_cast<std::size_t>(patch)].atoms.size(), opts_.bytes_per_atom_force);
   TaskMsg msg;
   msg.entry = e_forces_;
   msg.priority = -2;
   msg.bytes = bytes;
   // Crossing a worker boundary: the home process cannot read this worker's
-  // scratch slots, so ship every slot of this proxy (flattened in slot
-  // order; advance() still folds them in canonical compute-id order).
+  // scratch slots, so ship every slot of this proxy (advance() still folds
+  // them in canonical compute-id order).
   if (proc_ != nullptr && proc_->owner_of(pe) != proc_->owner_of(home)) {
-    const ProxyRt& proxy = proxies_[static_cast<std::size_t>(pxy)];
-    msg.has_wire = true;
-    msg.wire.ints = {patch, pxy};
-    std::size_t total = 0;
-    for (const auto& s : proxy.scratch) total += s.size() * 3;
-    msg.wire.reals.reserve(total);
-    for (const auto& s : proxy.scratch) {
-      for (const Vec3& v : s) {
-        msg.wire.reals.push_back(v.x);
-        msg.wire.reals.push_back(v.y);
-        msg.wire.reals.push_back(v.z);
-      }
-    }
+    msg.wire = wire::encode(
+        ProxySlots{patch, pxy, proxies_[static_cast<std::size_t>(pxy)].scratch});
   }
   msg.fn = [this, patch, pxy, bytes](ExecContext& c) {
     c.charge_pack(static_cast<double>(bytes) * c.machine().unpack_byte_cost);
@@ -837,9 +890,7 @@ void ParallelSim::publish_pme_atoms(ExecContext& ctx, int patch) {
   PatchRt& pr = patches_[static_cast<std::size_t>(patch)];
   const int home = patch_home_[static_cast<std::size_t>(patch)];
   const int step = pr.step;
-  const std::size_t bytes = static_cast<std::size_t>(opts_.msg_header_bytes) +
-                            static_cast<std::size_t>(pr.natoms()) *
-                                static_cast<std::size_t>(opts_.bytes_per_atom_coord);
+  const std::size_t bytes = msg_bytes(pr.atoms.size(), opts_.bytes_per_atom_coord);
   const std::uint64_t obj_base =
       static_cast<std::uint64_t>(wl_->plan.migratable_count()) + 1;
   for (int s = 0; s < pme_plan_->slabs(); ++s) {
@@ -854,14 +905,7 @@ void ParallelSim::publish_pme_atoms(ExecContext& ctx, int patch) {
     // handler time, which is safe because the patch cannot advance past
     // this step until the slab's force share comes back.
     if (proc_ != nullptr && proc_->owner_of(pe) != proc_->owner_of(home)) {
-      msg.has_wire = true;
-      msg.wire.ints = {s, patch, step};
-      msg.wire.reals.reserve(pr.pos.size() * 3);
-      for (const Vec3& v : pr.pos) {
-        msg.wire.reals.push_back(v.x);
-        msg.wire.reals.push_back(v.y);
-        msg.wire.reals.push_back(v.z);
-      }
+      msg.wire = wire::encode(PatchRound{patch, step, s, pr.pos});
     }
     msg.fn = [this, s, patch, step, bytes](ExecContext& c) {
       c.charge_pack(static_cast<double>(bytes) * c.machine().unpack_byte_cost);
@@ -875,18 +919,14 @@ void ParallelSim::publish_pme_atoms(ExecContext& ctx, int patch) {
 }
 
 void ParallelSim::on_pme_atoms(ExecContext& ctx, int slab, int patch, int step,
-                               const std::vector<double>* wire_pos) {
+                               std::vector<Vec3>* wire_pos) {
   PmeSlabRt& rt = pme_slabs_[static_cast<std::size_t>(slab)];
   assert(step == rt.step && "PME deposit for a round the slab is not in");
   (void)step;
   if (opts_.numeric) {
     std::vector<Vec3>& buf = rt.patch_pos[static_cast<std::size_t>(patch)];
     if (wire_pos != nullptr) {
-      buf.resize(wire_pos->size() / 3);
-      for (std::size_t i = 0; i < buf.size(); ++i) {
-        buf[i] = {(*wire_pos)[3 * i], (*wire_pos)[3 * i + 1],
-                  (*wire_pos)[3 * i + 2]};
-      }
+      buf = std::move(*wire_pos);
     } else {
       buf = patches_[static_cast<std::size_t>(patch)].pos;
     }
@@ -918,8 +958,7 @@ void ParallelSim::pme_spread_and_transpose(ExecContext& ctx, int slab) {
   for (int dst = 0; dst < pme_plan_->slabs(); ++dst) {
     const int pe = slab_pe_[static_cast<std::size_t>(dst)];
     const std::size_t bytes =
-        static_cast<std::size_t>(opts_.msg_header_bytes) +
-        pme_plan_->block_doubles(slab, dst) * sizeof(double);
+        msg_bytes(pme_plan_->block_doubles(slab, dst), sizeof(double));
     TaskMsg msg;
     msg.entry = e_pme_tr_fwd_;
     msg.priority = -1;
@@ -930,9 +969,7 @@ void ParallelSim::pme_spread_and_transpose(ExecContext& ctx, int slab) {
     if (proc_ != nullptr &&
         proc_->owner_of(pe) !=
             proc_->owner_of(slab_pe_[static_cast<std::size_t>(slab)])) {
-      msg.has_wire = true;
-      msg.wire.ints = {dst, slab};
-      msg.wire.reals = block;
+      msg.wire = wire::encode(TransposeBlock{dst, slab, block});
     }
     msg.fn = [this, dst, slab, bytes,
               block = std::move(block)](ExecContext& c) {
@@ -966,8 +1003,7 @@ void ParallelSim::pme_convolve_and_return(ExecContext& ctx, int slab) {
     // The backward block dst <- slab covers the same grid region as the
     // forward block dst -> slab, so it has the same size.
     const std::size_t bytes =
-        static_cast<std::size_t>(opts_.msg_header_bytes) +
-        pme_plan_->block_doubles(dst, slab) * sizeof(double);
+        msg_bytes(pme_plan_->block_doubles(dst, slab), sizeof(double));
     TaskMsg msg;
     msg.entry = e_pme_tr_bwd_;
     msg.priority = -1;
@@ -978,9 +1014,7 @@ void ParallelSim::pme_convolve_and_return(ExecContext& ctx, int slab) {
     if (proc_ != nullptr &&
         proc_->owner_of(pe) !=
             proc_->owner_of(slab_pe_[static_cast<std::size_t>(slab)])) {
-      msg.has_wire = true;
-      msg.wire.ints = {dst, slab};
-      msg.wire.reals = block;
+      msg.wire = wire::encode(TransposeBlock{dst, slab, block});
     }
     msg.fn = [this, dst, slab, bytes,
               block = std::move(block)](ExecContext& c) {
@@ -1030,9 +1064,7 @@ void ParallelSim::pme_gather_and_send(ExecContext& ctx, int slab) {
     const int patch = static_cast<int>(p);
     const int home = patch_home_[p];
     const std::size_t bytes =
-        static_cast<std::size_t>(opts_.msg_header_bytes) +
-        patches_[p].atoms.size() *
-            static_cast<std::size_t>(opts_.bytes_per_atom_force);
+        msg_bytes(patches_[p].atoms.size(), opts_.bytes_per_atom_force);
     std::vector<Vec3> frc;
     if (opts_.numeric) {
       frc.reserve(patches_[p].atoms.size());
@@ -1047,14 +1079,7 @@ void ParallelSim::pme_gather_and_send(ExecContext& ctx, int slab) {
     if (proc_ != nullptr &&
         proc_->owner_of(home) !=
             proc_->owner_of(slab_pe_[static_cast<std::size_t>(slab)])) {
-      msg.has_wire = true;
-      msg.wire.ints = {patch, slab, step};
-      msg.wire.reals.reserve(frc.size() * 3);
-      for (const Vec3& v : frc) {
-        msg.wire.reals.push_back(v.x);
-        msg.wire.reals.push_back(v.y);
-        msg.wire.reals.push_back(v.z);
-      }
+      msg.wire = wire::encode(PatchRound{patch, step, slab, frc});
     }
     msg.fn = [this, patch, slab, bytes,
               frc = std::move(frc)](ExecContext& c) mutable {
@@ -1089,7 +1114,6 @@ void ParallelSim::on_pme_force(ExecContext& ctx, int patch, int slab,
 // ---------------------------------------------------------------------------
 
 void ParallelSim::attempt_cycle(int steps) {
-  assert(steps >= 1);
   cycle_target_ = steps;
   step_base_ = static_cast<int>(step_completion_.size());
   step_completion_.resize(static_cast<std::size_t>(step_base_ + steps + 1), 0.0);
@@ -1190,7 +1214,13 @@ bool ParallelSim::last_cycle_complete() const {
 }
 
 void ParallelSim::run_cycle(int steps) {
-  assert(steps >= 1);
+  // Checked in every build: -1 would size the step counters one short of
+  // the index advance() writes, and 0 would run a lone half-kick force round
+  // that breaks the velocity-Verlet pairing with the next cycle.
+  if (steps < 1) {
+    throw ParallelConfigError("run_cycle needs at least one step, got " +
+                              std::to_string(steps));
+  }
   const bool resilient = opts_.checkpoint_every > 0;
   if (resilient) {
     if (!have_checkpoint() ||
@@ -1261,57 +1291,31 @@ double ParallelSim::run_benchmark(int measure_steps, int timed_steps) {
 // Checkpoint / restart / evacuation
 // ---------------------------------------------------------------------------
 
-void ParallelSim::snapshot_to(Checkpoint& c) const {
-  c.taken_at = exec_->time();
-  c.patches = patches_;
-  c.atom_loc = atom_loc_;
-  c.compute_deps.resize(computes_.size());
-  for (std::size_t i = 0; i < computes_.size(); ++i) {
-    c.compute_deps[i] = computes_[i].deps;
-  }
-  c.patch_home = patch_home_;
-  c.compute_pe = compute_pe_;
-  c.slab_pe = slab_pe_;
-  c.reduction_totals = reduction_totals_;
-  c.potential_per_step = potential_per_step_;
-  c.step_completion = step_completion_;
-  c.step_last_advance = step_last_advance_;
-  c.steps_done_counter = steps_done_counter_;
-  c.global_steps = global_steps_;
-  c.noise_rng = noise_rng_;
-}
-
 void ParallelSim::take_checkpoint() {
   assert(exec_->idle());
+  std::vector<std::uint8_t> blob = export_state();
+  ckpt_taken_at_ = exec_->time();
+  cycles_since_ckpt_.clear();
+  ++checkpoints_taken_;
   if (proc_ != nullptr) {
-    // Process backend: the checkpoint goes to disk through the wire layer
-    // (one kCheckpoint frame), and the in-memory copy is dropped — restore
-    // must survive on what actually hit the file, exactly like a recovery
-    // after a real crash would.
-    Checkpoint c;
-    snapshot_to(c);
+    // Process backend: the blob goes to disk as one kCheckpoint frame and
+    // nothing stays in memory — restore must survive on what actually hit
+    // the file, exactly like a recovery after a real crash would.
     const int fd = ::open(opts_.checkpoint_path.c_str(),
                           O_WRONLY | O_CREAT | O_TRUNC, 0644);
-    if (fd < 0 ||
-        !wire::write_frame(fd, wire::FrameType::kCheckpoint, encode_checkpoint(c))) {
+    if (fd < 0 || !wire::write_frame(fd, wire::FrameType::kCheckpoint, blob)) {
       std::fprintf(stderr, "[scalemd] cannot write checkpoint to %s\n",
                    opts_.checkpoint_path.c_str());
       std::abort();
     }
     ::close(fd);
-    ckpt_.reset();
     ckpt_on_disk_ = true;
-    cycles_since_ckpt_.clear();
-    ++checkpoints_taken_;
-    sinks_.on_fault({FaultKind::kCheckpoint, -1, -1, c.taken_at, 0.0});
+    sinks_.on_fault({FaultKind::kCheckpoint, -1, -1, ckpt_taken_at_, 0.0});
     return;
   }
   assert(des_ != nullptr && "checkpointing requires the DES or process backend");
-  if (!ckpt_) ckpt_ = std::make_unique<Checkpoint>();
-  snapshot_to(*ckpt_);
-  cycles_since_ckpt_.clear();
-  ++checkpoints_taken_;
-  des_->record_fault({FaultKind::kCheckpoint, -1, -1, ckpt_->taken_at, 0.0});
+  ckpt_ = std::move(blob);
+  des_->record_fault({FaultKind::kCheckpoint, -1, -1, ckpt_taken_at_, 0.0});
 
   // Model the coordinated snapshot's cost: each live PE spends time
   // serializing its resident patch state (this is the overhead the audit
@@ -1335,35 +1339,102 @@ void ParallelSim::take_checkpoint() {
   assert(des_->idle());
 }
 
-void ParallelSim::restore_from(const Checkpoint& c) {
+void ParallelSim::restore_checkpoint() {
+  assert(have_checkpoint());
+  std::vector<std::uint8_t> disk;
+  if (proc_ != nullptr) {
+    const int fd = ::open(opts_.checkpoint_path.c_str(), O_RDONLY);
+    wire::FrameType type{};
+    const wire::WireError err =
+        fd < 0 ? wire::WireError::kIo : wire::read_frame(fd, type, disk);
+    if (fd >= 0) ::close(fd);
+    if (err != wire::WireError::kOk || type != wire::FrameType::kCheckpoint) {
+      std::fprintf(stderr, "[scalemd] cannot restore checkpoint from %s: %s\n",
+                   opts_.checkpoint_path.c_str(), wire::wire_error_name(err));
+      std::abort();
+    }
+  }
+  SimState s = decode_state(proc_ != nullptr ? disk : ckpt_);
   const double now = exec_->time();
-  const double lost = now - c.taken_at;
+  const double lost = now - ckpt_taken_at_;
   restart_lost_time_ += lost;
   ++restarts_;
-
-  apply_checkpoint(c);
-
+  apply_state(std::move(s));
   // The clock is NOT rewound: the lost interval is the real cost of redoing
   // work, and is what restart_latency() reports.
   sinks_.on_fault({FaultKind::kRestart, -1, -1, now, lost});
 }
 
-void ParallelSim::apply_checkpoint(const Checkpoint& c) {
-  patches_ = c.patches;
-  atom_loc_ = c.atom_loc;
-  for (std::size_t i = 0; i < computes_.size(); ++i) {
-    computes_[i].deps = c.compute_deps[i];
+std::vector<std::uint8_t> ParallelSim::export_state() const {
+  assert(exec_->idle() && "export_state needs a quiesced machine");
+  SimState s;
+  s.patches = patches_;
+  s.patch_home = patch_home_;
+  s.compute_pe = compute_pe_;
+  s.slab_pe = slab_pe_;
+  s.reduction_totals = reduction_totals_;
+  s.potential_per_step = potential_per_step_;
+  s.step_completion = step_completion_;
+  s.step_last_advance = step_last_advance_;
+  s.steps_done_counter = steps_done_counter_;
+  s.global_steps = global_steps_;
+  s.rng = noise_rng_.state();
+  return wire::encode(s);
+}
+
+void ParallelSim::import_state(const std::vector<std::uint8_t>& blob) {
+  assert(exec_->idle() && "import_state needs a quiesced machine");
+  apply_state(decode_state(blob));
+}
+
+ParallelSim::SimState ParallelSim::decode_state(
+    const std::vector<std::uint8_t>& blob) const {
+  const auto check = [](bool ok, const char* why) {
+    if (!ok) throw StateError(std::string("bad sim state: ") + why);
+  };
+  SimState s;
+  check(wire::decode(blob, s), "malformed or truncated blob");
+  check(s.patches.size() == patches_.size(), "patch count mismatch");
+  check(s.patch_home.size() == patches_.size() &&
+            s.compute_pe.size() == computes_.size() &&
+            s.slab_pe.size() == slab_pe_.size(),
+        "placement size mismatch");
+  // Every atom of the molecule in exactly one patch: refresh_atom_index()
+  // and the kernels index by these ids.
+  const auto natoms = static_cast<std::size_t>(mol_->atom_count());
+  std::vector<char> seen(natoms, 0);
+  std::size_t placed = 0;
+  for (const PatchRt& pr : s.patches) {
+    const std::size_t n = opts_.numeric ? pr.atoms.size() : 0;
+    check(pr.pos.size() == n && pr.vel.size() == n && pr.frc.size() == n,
+          "patch vectors do not match its atoms");
+    for (int a : pr.atoms) {
+      check(a >= 0 && static_cast<std::size_t>(a) < natoms &&
+                seen[static_cast<std::size_t>(a)]++ == 0,
+            "atom ids do not partition the molecule");
+    }
+    placed += pr.atoms.size();
   }
-  patch_home_ = c.patch_home;
-  compute_pe_ = c.compute_pe;
-  slab_pe_ = c.slab_pe;
-  reduction_totals_ = c.reduction_totals;
-  potential_per_step_ = c.potential_per_step;
-  step_completion_ = c.step_completion;
-  step_last_advance_ = c.step_last_advance;
-  steps_done_counter_ = c.steps_done_counter;
-  global_steps_ = c.global_steps;
-  noise_rng_ = c.noise_rng;
+  check(placed == natoms, "atom ids do not partition the molecule");
+  for (const std::vector<int>* pes : {&s.patch_home, &s.compute_pe, &s.slab_pe}) {
+    for (int pe : *pes) check(pe >= 0 && pe < opts_.num_pes, "PE id off the machine");
+  }
+  return s;
+}
+
+void ParallelSim::apply_state(SimState s) {
+  patches_ = std::move(s.patches);
+  refresh_atom_index();
+  patch_home_ = std::move(s.patch_home);
+  compute_pe_ = std::move(s.compute_pe);
+  slab_pe_ = std::move(s.slab_pe);
+  reduction_totals_ = std::move(s.reduction_totals);
+  potential_per_step_ = std::move(s.potential_per_step);
+  step_completion_ = std::move(s.step_completion);
+  step_last_advance_ = std::move(s.step_last_advance);
+  steps_done_counter_ = std::move(s.steps_done_counter);
+  global_steps_ = s.global_steps;
+  noise_rng_.set_state(s.rng);
 
   // Un-acked pre-restart sends must not be resurrected by stale retries;
   // replayed sends get fresh sequence ids so dedup cannot misfire either.
@@ -1381,228 +1452,141 @@ void ParallelSim::apply_checkpoint(const Checkpoint& c) {
   }
 }
 
-void ParallelSim::restore_checkpoint() {
-  assert(have_checkpoint());
-  if (proc_ != nullptr) {
-    const int fd = ::open(opts_.checkpoint_path.c_str(), O_RDONLY);
-    wire::FrameType type{};
-    std::vector<std::uint8_t> payload;
-    const wire::WireError err =
-        fd < 0 ? wire::WireError::kIo : wire::read_frame(fd, type, payload);
-    if (fd >= 0) ::close(fd);
-    if (err != wire::WireError::kOk || type != wire::FrameType::kCheckpoint) {
-      std::fprintf(stderr, "[scalemd] cannot restore checkpoint from %s: %s\n",
-                   opts_.checkpoint_path.c_str(), wire::wire_error_name(err));
-      std::abort();
-    }
-    Checkpoint c;
-    decode_checkpoint(payload, c);
-    restore_from(c);
-    return;
-  }
-  assert(ckpt_ && des_ != nullptr);
-  restore_from(*ckpt_);
-}
-
-std::vector<std::uint8_t> ParallelSim::export_state() const {
-  assert(exec_->idle() && "export_state needs a quiesced machine");
-  Checkpoint c;
-  snapshot_to(c);
-  return encode_checkpoint(c);
-}
-
-void ParallelSim::import_state(const std::vector<std::uint8_t>& blob) {
-  assert(exec_->idle() && "import_state needs a quiesced machine");
-  Checkpoint c;
-  decode_checkpoint(blob, c);
-  apply_checkpoint(c);
-}
-
 // ---------------------------------------------------------------------------
 // Process-backend wire plumbing
 // ---------------------------------------------------------------------------
 
 namespace {
 
-[[noreturn]] void wire_state_error(const char* what) {
-  std::fprintf(stderr, "[scalemd] process wire: %s\n", what);
-  std::abort();
-}
+/// What one forked worker hands back at quiescence: the state its PEs
+/// changed during the cycle. The parent merges the flushes in worker order.
+struct WorkerFlush {
+  /// A patch homed on this worker, after its last advance.
+  struct Patch {
+    int id = 0;
+    int step = 0;
+    std::vector<Vec3> pos, vel, frc;
 
-void encode_vec3s(wire::Encoder& e, const std::vector<Vec3>& v) {
-  for (const Vec3& x : v) {
-    e.f64(x.x);
-    e.f64(x.y);
-    e.f64(x.z);
+    template <class Ar>
+    void fields(Ar& ar) {
+      ar(id, step, pos, vel, frc);
+    }
+  };
+  std::vector<Patch> patches;
+  /// Potential rows (one entry per local step) of the computes and PME
+  /// slabs this worker ran.
+  std::vector<std::pair<int, std::vector<EnergyTerms>>> compute_rows;
+  std::vector<std::pair<int, std::vector<double>>> slab_rows;
+  /// Per local step: the advances this worker ran (the range was zeroed
+  /// before the fork, so the local count is the delta) and the latest one's
+  /// time.
+  std::vector<std::pair<int, double>> progress;
+  /// The cycle's reduction totals; only the tree root's worker has them.
+  std::vector<double> reduction_totals;
+
+  template <class Ar>
+  void fields(Ar& ar) {
+    ar(patches, compute_rows, slab_rows, progress, reduction_totals);
   }
-}
-
-bool decode_vec3s(wire::Decoder& d, std::vector<Vec3>& v) {
-  for (Vec3& x : v) {
-    if (!d.f64(x.x) || !d.f64(x.y) || !d.f64(x.z)) return false;
-  }
-  return true;
-}
-
-void encode_terms(wire::Encoder& e, const EnergyTerms& t) {
-  e.f64(t.lj);
-  e.f64(t.elec);
-  e.f64(t.bond);
-  e.f64(t.angle);
-  e.f64(t.dihedral);
-  e.f64(t.improper);
-}
-
-bool decode_terms(wire::Decoder& d, EnergyTerms& t) {
-  return d.f64(t.lj) && d.f64(t.elec) && d.f64(t.bond) && d.f64(t.angle) &&
-         d.f64(t.dihedral) && d.f64(t.improper);
-}
+};
 
 }  // namespace
 
 void ParallelSim::setup_process_wire() {
+  // Every decoder decodes its record when the frame arrives and applies it
+  // when the task runs.
+
   // Coordinates crossing a worker boundary: apply the shipped positions and
   // step index to the receiving worker's patch replica, then run the normal
-  // receive path. ints = [patch, step], reals = positions.
+  // receive path.
   proc_->register_decoder(e_coords_, [this](const WirePayload& w) -> TaskFn {
-    return [this, w](ExecContext& c) {
-      if (w.ints.size() != 2) wire_state_error("bad coords header");
-      const int patch = static_cast<int>(w.ints[0]);
-      if (patch < 0 || static_cast<std::size_t>(patch) >= patches_.size()) {
-        wire_state_error("coords patch out of range");
-      }
-      PatchRt& pr = patches_[static_cast<std::size_t>(patch)];
-      if (w.reals.size() != pr.pos.size() * 3) {
-        wire_state_error("coords payload size mismatch");
-      }
-      pr.step = static_cast<int>(w.ints[1]);
-      for (std::size_t i = 0; i < pr.pos.size(); ++i) {
-        pr.pos[i] = {w.reals[3 * i], w.reals[3 * i + 1], w.reals[3 * i + 2]};
-      }
-      gather_tile(patch);
-      c.charge_pack(
-          static_cast<double>(
-              static_cast<std::size_t>(opts_.msg_header_bytes) +
-              pr.pos.size() *
-                  static_cast<std::size_t>(opts_.bytes_per_atom_coord)) *
-          c.machine().unpack_byte_cost);
-      on_recv_coords(c, patch, c.pe());
+    PatchRound rec = decode_record<PatchRound>(w, "coords");
+    return [this, rec = std::move(rec)](ExecContext& c) mutable {
+      wire_check(rec.patch >= 0 && static_cast<std::size_t>(rec.patch) < patches_.size(),
+            "coords patch out of range");
+      PatchRt& pr = patches_[static_cast<std::size_t>(rec.patch)];
+      wire_check(rec.v.size() == pr.pos.size(), "coords payload size mismatch");
+      pr.step = rec.step;
+      pr.pos = std::move(rec.v);
+      gather_tile(rec.patch);
+      c.charge_pack(static_cast<double>(msg_bytes(pr.pos.size(),
+                                                  opts_.bytes_per_atom_coord)) *
+                    c.machine().unpack_byte_cost);
+      on_recv_coords(c, rec.patch, c.pe());
     };
   });
 
-  // Force contributions arriving at the home worker: copy every scratch
-  // slot of the contributing proxy into the local replica, then signal the
-  // contribution. ints = [patch, proxy index], reals = slots flattened.
+  // Force contributions arriving at the home worker: adopt every scratch
+  // slot of the contributing proxy, then signal the contribution.
   proc_->register_decoder(e_forces_, [this](const WirePayload& w) -> TaskFn {
-    return [this, w](ExecContext& c) {
-      if (w.ints.size() != 2) wire_state_error("bad forces header");
-      const int patch = static_cast<int>(w.ints[0]);
-      const int pxy = static_cast<int>(w.ints[1]);
-      if (pxy < 0 || static_cast<std::size_t>(pxy) >= proxies_.size() ||
-          proxies_[static_cast<std::size_t>(pxy)].patch != patch) {
-        wire_state_error("forces proxy out of range");
+    ProxySlots rec = decode_record<ProxySlots>(w, "forces");
+    return [this, rec = std::move(rec)](ExecContext& c) mutable {
+      wire_check(rec.proxy >= 0 && static_cast<std::size_t>(rec.proxy) < proxies_.size() &&
+                proxies_[static_cast<std::size_t>(rec.proxy)].patch == rec.patch,
+            "forces proxy out of range");
+      ProxyRt& proxy = proxies_[static_cast<std::size_t>(rec.proxy)];
+      wire_check(rec.slots.size() == proxy.scratch.size(), "forces payload size mismatch");
+      for (std::size_t k = 0; k < rec.slots.size(); ++k) {
+        wire_check(rec.slots[k].size() == proxy.scratch[k].size(),
+              "forces payload size mismatch");
+        proxy.scratch[k] = std::move(rec.slots[k]);
       }
-      ProxyRt& proxy = proxies_[static_cast<std::size_t>(pxy)];
-      std::size_t need = 0;
-      for (const auto& s : proxy.scratch) need += s.size() * 3;
-      if (w.reals.size() != need) {
-        wire_state_error("forces payload size mismatch");
-      }
-      std::size_t off = 0;
-      for (auto& s : proxy.scratch) {
-        for (Vec3& v : s) {
-          v = {w.reals[off], w.reals[off + 1], w.reals[off + 2]};
-          off += 3;
-        }
-      }
-      const std::size_t bytes =
-          static_cast<std::size_t>(opts_.msg_header_bytes) +
-          patches_[static_cast<std::size_t>(patch)].pos.size() *
-              static_cast<std::size_t>(opts_.bytes_per_atom_force);
-      c.charge_pack(static_cast<double>(bytes) * c.machine().unpack_byte_cost);
-      on_contribution(c, patch, pxy);
+      c.charge_pack(
+          static_cast<double>(msg_bytes(
+              patches_[static_cast<std::size_t>(rec.patch)].pos.size(),
+              opts_.bytes_per_atom_force)) *
+          c.machine().unpack_byte_cost);
+      on_contribution(c, rec.patch, rec.proxy);
     };
   });
 
-  // Reduction partial sums climbing the tree. ints = [parent rank, round,
-  // forwarded, n, ids...], reals = the n values (raw IEEE bits).
+  // Reduction partial sums climbing the tree.
   proc_->register_decoder(e_reduction_, [this](const WirePayload& w) -> TaskFn {
-    return [this, w](ExecContext& c) {
-      if (w.ints.size() < 4) wire_state_error("bad reduction header");
-      const int parent_rank = static_cast<int>(w.ints[0]);
-      const int round = static_cast<int>(w.ints[1]);
-      const int forwarded = static_cast<int>(w.ints[2]);
-      const std::size_t n = static_cast<std::size_t>(w.ints[3]);
-      if (w.ints.size() != 4 + n || w.reals.size() != n) {
-        wire_state_error("reduction payload size mismatch");
-      }
-      std::vector<std::pair<int, double>> parts;
-      parts.reserve(n);
-      for (std::size_t i = 0; i < n; ++i) {
-        parts.push_back({static_cast<int>(w.ints[4 + i]), w.reals[i]});
-      }
-      c.charge(1e-6);  // combine cost (parity with the in-process closure)
-      reducer_->deliver(c, parent_rank, round, std::move(parts), forwarded);
-    };
+    return reducer_->decode(w);
   });
 
   // PME frames (full-electrostatics runs only; the entries are registered
   // before this point whenever pme_plan_ exists, so registering the
   // decoders unconditionally on pme_plan_ is safe).
   if (pme_plan_ != nullptr) {
+    const auto in_range = [this](const PatchRound& rec) {
+      return rec.slab >= 0 && static_cast<std::size_t>(rec.slab) < pme_slabs_.size() &&
+             rec.patch >= 0 && static_cast<std::size_t>(rec.patch) < patches_.size() &&
+             rec.v.size() == patches_[static_cast<std::size_t>(rec.patch)].atoms.size();
+    };
     // Atom deposit crossing a worker boundary: the slab's worker cannot
     // read the patch replica, so positions ride the wire and land in the
     // slab's own per-patch buffer (never the replica — that belongs to the
-    // coordinate path). ints = [slab, patch, step], reals = positions.
-    proc_->register_decoder(e_pme_atoms_, [this](const WirePayload& w) -> TaskFn {
-      return [this, w](ExecContext& c) {
-        if (w.ints.size() != 3) wire_state_error("bad pme atoms header");
-        const int slab = static_cast<int>(w.ints[0]);
-        const int patch = static_cast<int>(w.ints[1]);
-        if (slab < 0 || static_cast<std::size_t>(slab) >= pme_slabs_.size() ||
-            patch < 0 || static_cast<std::size_t>(patch) >= patches_.size()) {
-          wire_state_error("pme atoms target out of range");
-        }
-        if (w.reals.size() !=
-            patches_[static_cast<std::size_t>(patch)].atoms.size() * 3) {
-          wire_state_error("pme atoms payload size mismatch");
-        }
-        c.charge_pack(
-            static_cast<double>(
-                static_cast<std::size_t>(opts_.msg_header_bytes) +
-                patches_[static_cast<std::size_t>(patch)].atoms.size() *
-                    static_cast<std::size_t>(opts_.bytes_per_atom_coord)) *
-            c.machine().unpack_byte_cost);
-        on_pme_atoms(c, slab, patch, static_cast<int>(w.ints[2]), &w.reals);
-      };
-    });
+    // coordinate path).
+    proc_->register_decoder(
+        e_pme_atoms_, [this, in_range](const WirePayload& w) -> TaskFn {
+          PatchRound rec = decode_record<PatchRound>(w, "pme atoms");
+          return [this, in_range, rec = std::move(rec)](ExecContext& c) mutable {
+            wire_check(in_range(rec), "pme atoms record does not fit");
+            c.charge_pack(
+                static_cast<double>(msg_bytes(rec.v.size(), opts_.bytes_per_atom_coord)) *
+                c.machine().unpack_byte_cost);
+            on_pme_atoms(c, rec.slab, rec.patch, rec.step, &rec.v);
+          };
+        });
 
-    // Transpose blocks. ints = [dst slab, src slab], reals = the block.
     const auto transpose_decoder = [this](bool forward) {
       return [this, forward](const WirePayload& w) -> TaskFn {
-        return [this, forward, w](ExecContext& c) {
-          if (w.ints.size() != 2) wire_state_error("bad pme transpose header");
-          const int dst = static_cast<int>(w.ints[0]);
-          const int src = static_cast<int>(w.ints[1]);
-          if (dst < 0 || static_cast<std::size_t>(dst) >= pme_slabs_.size() ||
-              src < 0 || static_cast<std::size_t>(src) >= pme_slabs_.size()) {
-            wire_state_error("pme transpose slab out of range");
-          }
-          const std::size_t doubles = forward
-                                          ? pme_plan_->block_doubles(src, dst)
-                                          : pme_plan_->block_doubles(dst, src);
-          if (w.reals.size() != doubles) {
-            wire_state_error("pme transpose block size mismatch");
-          }
-          c.charge_pack(
-              static_cast<double>(
-                  static_cast<std::size_t>(opts_.msg_header_bytes) +
-                  doubles * sizeof(double)) *
-              c.machine().unpack_byte_cost);
+        TransposeBlock rec = decode_record<TransposeBlock>(w, "pme transpose");
+        return [this, forward, rec = std::move(rec)](ExecContext& c) {
+          const auto slabs = pme_slabs_.size();
+          wire_check(rec.dst >= 0 && static_cast<std::size_t>(rec.dst) < slabs &&
+                    rec.src >= 0 && static_cast<std::size_t>(rec.src) < slabs,
+                "pme transpose slab out of range");
+          const std::size_t doubles = forward ? pme_plan_->block_doubles(rec.src, rec.dst)
+                                              : pme_plan_->block_doubles(rec.dst, rec.src);
+          wire_check(rec.block.size() == doubles, "pme transpose block size mismatch");
+          c.charge_pack(static_cast<double>(msg_bytes(doubles, sizeof(double))) *
+                        c.machine().unpack_byte_cost);
           if (forward) {
-            on_pme_fwd(c, dst, src, w.reals);
+            on_pme_fwd(c, rec.dst, rec.src, rec.block);
           } else {
-            on_pme_bwd(c, dst, src, w.reals);
+            on_pme_bwd(c, rec.dst, rec.src, rec.block);
           }
         };
       };
@@ -1610,365 +1594,115 @@ void ParallelSim::setup_process_wire() {
     proc_->register_decoder(e_pme_tr_fwd_, transpose_decoder(true));
     proc_->register_decoder(e_pme_tr_bwd_, transpose_decoder(false));
 
-    // Force shares back to the patch home. ints = [patch, slab, step],
-    // reals = the per-atom force block.
-    proc_->register_decoder(e_pme_force_, [this](const WirePayload& w) -> TaskFn {
-      return [this, w](ExecContext& c) {
-        if (w.ints.size() != 3) wire_state_error("bad pme force header");
-        const int patch = static_cast<int>(w.ints[0]);
-        const int slab = static_cast<int>(w.ints[1]);
-        if (patch < 0 || static_cast<std::size_t>(patch) >= patches_.size() ||
-            slab < 0 || static_cast<std::size_t>(slab) >= pme_slabs_.size()) {
-          wire_state_error("pme force target out of range");
-        }
-        const std::size_t natoms =
-            patches_[static_cast<std::size_t>(patch)].atoms.size();
-        if (w.reals.size() != natoms * 3) {
-          wire_state_error("pme force payload size mismatch");
-        }
-        std::vector<Vec3> frc(natoms);
-        for (std::size_t i = 0; i < natoms; ++i) {
-          frc[i] = {w.reals[3 * i], w.reals[3 * i + 1], w.reals[3 * i + 2]};
-        }
-        c.charge_pack(
-            static_cast<double>(
-                static_cast<std::size_t>(opts_.msg_header_bytes) +
-                natoms * static_cast<std::size_t>(opts_.bytes_per_atom_force)) *
-            c.machine().unpack_byte_cost);
-        on_pme_force(c, patch, slab, std::move(frc));
-      };
-    });
+    // Force shares back to the patch home.
+    proc_->register_decoder(
+        e_pme_force_, [this, in_range](const WirePayload& w) -> TaskFn {
+          PatchRound rec = decode_record<PatchRound>(w, "pme force");
+          return [this, in_range, rec = std::move(rec)](ExecContext& c) mutable {
+            wire_check(in_range(rec), "pme force record does not fit");
+            c.charge_pack(
+                static_cast<double>(msg_bytes(rec.v.size(), opts_.bytes_per_atom_force)) *
+                c.machine().unpack_byte_cost);
+            on_pme_force(c, rec.patch, rec.slab, std::move(rec.v));
+          };
+        });
   }
 
   proc_->set_state_hooks(
-      [this](int worker, int workers) {
-        (void)workers;
-        return flush_worker_state(worker, proc_->workers());
-      },
-      [this](int worker, const std::vector<std::uint8_t>& blob) {
-        merge_worker_state(worker, blob);
+      [this](int worker, int /*workers*/) { return flush_worker_state(worker); },
+      [this](int /*worker*/, const std::vector<std::uint8_t>& blob) {
+        merge_worker_state(blob);
       });
 }
 
-std::vector<std::uint8_t> ParallelSim::flush_worker_state(int worker,
-                                                          int workers) const {
-  (void)workers;
-  wire::Encoder e;
-
-  // Owned patches: position/velocity/force/step, mutated by advance() on
-  // the home PE (always local to this worker).
-  std::uint64_t owned_patches = 0;
-  for (std::size_t p = 0; p < patches_.size(); ++p) {
-    if (proc_->owner_of(patch_home_[p]) == worker) ++owned_patches;
-  }
-  e.u64(owned_patches);
-  for (std::size_t p = 0; p < patches_.size(); ++p) {
-    if (proc_->owner_of(patch_home_[p]) != worker) continue;
-    const PatchRt& pr = patches_[p];
-    e.i64(static_cast<std::int64_t>(p));
-    e.u64(pr.pos.size());
-    e.i64(pr.step);
-    encode_vec3s(e, pr.pos);
-    encode_vec3s(e, pr.vel);
-    encode_vec3s(e, pr.frc);
-  }
-
-  // Potential-energy scratch rows of the computes this worker ran.
+std::vector<std::uint8_t> ParallelSim::flush_worker_state(int worker) const {
+  const auto mine = [&](int pe) { return proc_->owner_of(pe) == worker; };
   const std::size_t row = static_cast<std::size_t>(cycle_target_ + 1);
-  std::uint64_t owned_computes = 0;
-  for (std::size_t i = 0; i < computes_.size(); ++i) {
-    if (proc_->owner_of(compute_pe_[i]) == worker) ++owned_computes;
+  WorkerFlush f;
+  // Patches are mutated by advance() on their home PE only.
+  for (std::size_t p = 0; p < patches_.size(); ++p) {
+    if (!mine(patch_home_[p])) continue;
+    const PatchRt& pr = patches_[p];
+    f.patches.push_back({static_cast<int>(p), pr.step, pr.pos, pr.vel, pr.frc});
   }
-  e.u64(owned_computes);
   for (std::size_t i = 0; i < computes_.size(); ++i) {
-    if (proc_->owner_of(compute_pe_[i]) != worker) continue;
-    e.i64(static_cast<std::int64_t>(i));
-    for (std::size_t s = 0; s < row; ++s) {
-      encode_terms(e, potential_scratch_[i * row + s]);
-    }
+    if (!mine(compute_pe_[i])) continue;
+    const auto first = potential_scratch_.begin() + static_cast<std::ptrdiff_t>(i * row);
+    f.compute_rows.emplace_back(
+        static_cast<int>(i),
+        std::vector<EnergyTerms>(first, first + static_cast<std::ptrdiff_t>(row)));
   }
-
-  // Per-step progress over this cycle's range: the counter delta this
-  // worker contributed (the range was zeroed before the fork, so the local
-  // value IS the delta) and the latest advance time it saw.
+  // A slab's energy partials live only on its own worker (its forces
+  // already reached the patch workers through the wire).
+  for (std::size_t s = 0; s < slab_pe_.size(); ++s) {
+    if (!mine(slab_pe_[s])) continue;
+    const auto first = pme_scratch_.begin() + static_cast<std::ptrdiff_t>(s * row);
+    f.slab_rows.emplace_back(
+        static_cast<int>(s),
+        std::vector<double>(first, first + static_cast<std::ptrdiff_t>(row)));
+  }
   for (int s = 0; s <= cycle_target_; ++s) {
-    const std::size_t g = static_cast<std::size_t>(step_base_ + s);
-    e.i64(steps_done_counter_[g]);
-    e.f64(step_last_advance_[g]);
+    const auto g = static_cast<std::size_t>(step_base_ + s);
+    f.progress.emplace_back(steps_done_counter_[g], step_last_advance_[g]);
   }
-
-  // Reduction totals land at the tree root; only its worker reports them.
-  if (proc_->owner_of(reducer_->root_pe()) == worker) {
-    const std::int64_t have =
-        static_cast<std::int64_t>(reduction_totals_.size()) - step_base_;
-    const std::uint64_t n = static_cast<std::uint64_t>(std::clamp<std::int64_t>(
-        have, 0, cycle_target_ + 1));
-    e.u8(1);
-    e.u64(n);
-    for (std::uint64_t i = 0; i < n; ++i) {
-      e.f64(reduction_totals_[static_cast<std::size_t>(step_base_) + i]);
-    }
-  } else {
-    e.u8(0);
-  }
-
-  // PME energy rows of the slabs homed on this worker (forces already
-  // arrived at the patch workers through the wire; the per-(slab, step)
-  // energy partials live only on the slab's own worker).
-  if (pme_plan_ != nullptr) {
-    std::uint64_t owned_slabs = 0;
-    for (std::size_t s = 0; s < slab_pe_.size(); ++s) {
-      if (proc_->owner_of(slab_pe_[s]) == worker) ++owned_slabs;
-    }
-    e.u64(owned_slabs);
-    for (std::size_t s = 0; s < slab_pe_.size(); ++s) {
-      if (proc_->owner_of(slab_pe_[s]) != worker) continue;
-      e.i64(static_cast<std::int64_t>(s));
-      for (std::size_t st = 0; st < row; ++st) {
-        e.f64(pme_scratch_[s * row + st]);
-      }
+  if (mine(reducer_->root_pe())) {
+    for (std::size_t g = static_cast<std::size_t>(step_base_);
+         g < std::min(reduction_totals_.size(), static_cast<std::size_t>(step_base_) + row);
+         ++g) {
+      f.reduction_totals.push_back(reduction_totals_[g]);
     }
   }
-  return e.take();
+  return wire::encode(f);
 }
 
-void ParallelSim::merge_worker_state(int worker, const std::vector<std::uint8_t>& blob) {
-  (void)worker;
-  wire::Decoder d(blob);
-
-  std::uint64_t owned_patches = 0;
-  if (!d.u64(owned_patches)) wire_state_error("truncated state blob");
-  for (std::uint64_t k = 0; k < owned_patches; ++k) {
-    std::int64_t p = 0, step = 0;
-    std::uint64_t natoms = 0;
-    if (!d.i64(p) || !d.u64(natoms) || !d.i64(step) || p < 0 ||
-        static_cast<std::size_t>(p) >= patches_.size()) {
-      wire_state_error("bad patch record");
-    }
-    PatchRt& pr = patches_[static_cast<std::size_t>(p)];
-    if (natoms != pr.pos.size()) wire_state_error("patch size mismatch");
-    pr.step = static_cast<int>(step);
-    if (!decode_vec3s(d, pr.pos) || !decode_vec3s(d, pr.vel) ||
-        !decode_vec3s(d, pr.frc)) {
-      wire_state_error("truncated patch record");
-    }
-  }
-
+void ParallelSim::merge_worker_state(const std::vector<std::uint8_t>& blob) {
+  // The blob comes from this run's own forked worker, merged after it was
+  // reaped.
+  WorkerFlush f;
+  wire_check(wire::decode(blob, f), "malformed worker state");
   const std::size_t row = static_cast<std::size_t>(cycle_target_ + 1);
-  std::uint64_t owned_computes = 0;
-  if (!d.u64(owned_computes)) wire_state_error("truncated state blob");
-  for (std::uint64_t k = 0; k < owned_computes; ++k) {
-    std::int64_t i = 0;
-    if (!d.i64(i) || i < 0 || static_cast<std::size_t>(i) >= computes_.size()) {
-      wire_state_error("bad compute record");
-    }
-    for (std::size_t s = 0; s < row; ++s) {
-      if (!decode_terms(d, potential_scratch_[static_cast<std::size_t>(i) * row + s])) {
-        wire_state_error("truncated compute record");
-      }
-    }
+  for (WorkerFlush::Patch& fp : f.patches) {
+    wire_check(fp.id >= 0 && static_cast<std::size_t>(fp.id) < patches_.size(),
+               "bad patch record");
+    PatchRt& pr = patches_[static_cast<std::size_t>(fp.id)];
+    wire_check(fp.pos.size() == pr.pos.size() && fp.vel.size() == pr.pos.size() &&
+                   fp.frc.size() == pr.pos.size(),
+               "patch size mismatch");
+    pr.step = fp.step;
+    pr.pos = std::move(fp.pos);
+    pr.vel = std::move(fp.vel);
+    pr.frc = std::move(fp.frc);
   }
-
-  for (int s = 0; s <= cycle_target_; ++s) {
-    const std::size_t g = static_cast<std::size_t>(step_base_ + s);
-    std::int64_t delta = 0;
-    double last = 0.0;
-    if (!d.i64(delta) || !d.f64(last)) wire_state_error("truncated progress");
-    steps_done_counter_[g] += static_cast<int>(delta);
-    step_last_advance_[g] = std::max(step_last_advance_[g], last);
+  for (const auto& [i, terms] : f.compute_rows) {
+    wire_check(i >= 0 && static_cast<std::size_t>(i) < computes_.size() &&
+                   terms.size() == row,
+               "bad compute record");
+    std::copy(terms.begin(), terms.end(),
+              potential_scratch_.begin() + static_cast<std::ptrdiff_t>(i * row));
+  }
+  for (const auto& [s, energies] : f.slab_rows) {
+    wire_check(s >= 0 && static_cast<std::size_t>(s) < pme_slabs_.size() &&
+                   energies.size() == row,
+               "bad pme slab record");
+    std::copy(energies.begin(), energies.end(),
+              pme_scratch_.begin() + static_cast<std::ptrdiff_t>(s * row));
+  }
+  wire_check(f.progress.size() == row, "bad progress record");
+  for (std::size_t s = 0; s < row; ++s) {
+    const std::size_t g = static_cast<std::size_t>(step_base_) + s;
+    steps_done_counter_[g] += f.progress[s].first;
+    step_last_advance_[g] = std::max(step_last_advance_[g], f.progress[s].second);
     if (steps_done_counter_[g] == active_patches_) {
       step_completion_[g] = step_last_advance_[g];
     }
   }
-
-  std::uint8_t has_reduction = 0;
-  if (!d.u8(has_reduction)) wire_state_error("truncated state blob");
-  if (has_reduction != 0) {
-    std::uint64_t n = 0;
-    if (!d.count(n, 8)) wire_state_error("bad reduction count");
-    const std::size_t need = static_cast<std::size_t>(step_base_) + n;
+  if (!f.reduction_totals.empty()) {
+    wire_check(f.reduction_totals.size() <= row, "bad reduction totals");
+    const std::size_t need = static_cast<std::size_t>(step_base_) + f.reduction_totals.size();
     if (reduction_totals_.size() < need) reduction_totals_.resize(need, 0.0);
-    for (std::uint64_t i = 0; i < n; ++i) {
-      if (!d.f64(reduction_totals_[static_cast<std::size_t>(step_base_) + i])) {
-        wire_state_error("truncated reduction totals");
-      }
-    }
+    std::copy(f.reduction_totals.begin(), f.reduction_totals.end(),
+              reduction_totals_.begin() + step_base_);
   }
-  if (pme_plan_ != nullptr) {
-    std::uint64_t owned_slabs = 0;
-    if (!d.u64(owned_slabs)) wire_state_error("truncated state blob");
-    for (std::uint64_t k = 0; k < owned_slabs; ++k) {
-      std::int64_t s = 0;
-      if (!d.i64(s) || s < 0 ||
-          static_cast<std::size_t>(s) >= pme_slabs_.size()) {
-        wire_state_error("bad pme slab record");
-      }
-      for (std::size_t st = 0; st < row; ++st) {
-        if (!d.f64(pme_scratch_[static_cast<std::size_t>(s) * row + st])) {
-          wire_state_error("truncated pme slab record");
-        }
-      }
-    }
-  }
-  if (!d.done()) wire_state_error("trailing bytes in state blob");
-}
-
-std::vector<std::uint8_t> ParallelSim::encode_checkpoint(const Checkpoint& c) const {
-  wire::Encoder e;
-  e.f64(c.taken_at);
-  e.u64(c.patches.size());
-  for (const PatchRt& pr : c.patches) {
-    e.u64(pr.atoms.size());
-    for (int a : pr.atoms) e.i64(a);
-    encode_vec3s(e, pr.pos);
-    encode_vec3s(e, pr.vel);
-    encode_vec3s(e, pr.frc);
-    for (double m : pr.mass) e.f64(m);
-    e.i64(pr.step);
-  }
-  e.u64(c.atom_loc.size());
-  for (const auto& [p, i] : c.atom_loc) {
-    e.i64(p);
-    e.i64(i);
-  }
-  e.u64(c.compute_deps.size());
-  for (const auto& deps : c.compute_deps) {
-    e.u64(deps.size());
-    for (int p : deps) e.i64(p);
-  }
-  e.u64(c.patch_home.size());
-  for (int pe : c.patch_home) e.i64(pe);
-  e.u64(c.compute_pe.size());
-  for (int pe : c.compute_pe) e.i64(pe);
-  e.u64(c.reduction_totals.size());
-  for (double v : c.reduction_totals) e.f64(v);
-  e.u64(c.potential_per_step.size());
-  for (const EnergyTerms& t : c.potential_per_step) encode_terms(e, t);
-  e.u64(c.step_completion.size());
-  for (double v : c.step_completion) e.f64(v);
-  e.u64(c.step_last_advance.size());
-  for (double v : c.step_last_advance) e.f64(v);
-  e.u64(c.steps_done_counter.size());
-  for (int v : c.steps_done_counter) e.i64(v);
-  e.i64(c.global_steps);
-  const Rng::State rs = c.noise_rng.state();
-  for (std::uint64_t s : rs.s) e.u64(s);
-  e.u64(rs.seed);
-  e.u8(rs.has_cached_normal ? 1 : 0);
-  e.f64(rs.cached_normal);
-  e.u64(c.slab_pe.size());
-  for (int pe : c.slab_pe) e.i64(pe);
-  return e.take();
-}
-
-void ParallelSim::decode_checkpoint(const std::vector<std::uint8_t>& blob,
-                                    Checkpoint& c) const {
-  wire::Decoder d(blob);
-  std::uint64_t n = 0;
-  if (!d.f64(c.taken_at) || !d.u64(n) || n != patches_.size()) {
-    wire_state_error("checkpoint patch count mismatch");
-  }
-  c.patches.resize(static_cast<std::size_t>(n));
-  for (PatchRt& pr : c.patches) {
-    std::uint64_t natoms = 0;
-    if (!d.count(natoms, 8)) wire_state_error("bad checkpoint patch");
-    pr.atoms.resize(static_cast<std::size_t>(natoms));
-    for (int& a : pr.atoms) {
-      std::int64_t v = 0;
-      if (!d.i64(v)) wire_state_error("bad checkpoint patch atoms");
-      a = static_cast<int>(v);
-    }
-    pr.pos.resize(static_cast<std::size_t>(natoms));
-    pr.vel.resize(static_cast<std::size_t>(natoms));
-    pr.frc.resize(static_cast<std::size_t>(natoms));
-    pr.mass.resize(static_cast<std::size_t>(natoms));
-    if (!decode_vec3s(d, pr.pos) || !decode_vec3s(d, pr.vel) ||
-        !decode_vec3s(d, pr.frc)) {
-      wire_state_error("bad checkpoint patch state");
-    }
-    for (double& m : pr.mass) {
-      if (!d.f64(m)) wire_state_error("bad checkpoint patch mass");
-    }
-    std::int64_t step = 0;
-    if (!d.i64(step)) wire_state_error("bad checkpoint patch step");
-    pr.step = static_cast<int>(step);
-  }
-  if (!d.u64(n) || n != atom_loc_.size()) {
-    wire_state_error("checkpoint atom count mismatch");
-  }
-  c.atom_loc.resize(static_cast<std::size_t>(n));
-  for (auto& [p, i] : c.atom_loc) {
-    std::int64_t pp = 0, ii = 0;
-    if (!d.i64(pp) || !d.i64(ii)) wire_state_error("bad checkpoint atom_loc");
-    p = static_cast<int>(pp);
-    i = static_cast<int>(ii);
-  }
-  if (!d.u64(n) || n != computes_.size()) {
-    wire_state_error("checkpoint compute count mismatch");
-  }
-  c.compute_deps.resize(static_cast<std::size_t>(n));
-  for (auto& deps : c.compute_deps) {
-    std::uint64_t nd = 0;
-    if (!d.count(nd, 8)) wire_state_error("bad checkpoint deps");
-    deps.resize(static_cast<std::size_t>(nd));
-    for (int& p : deps) {
-      std::int64_t v = 0;
-      if (!d.i64(v)) wire_state_error("bad checkpoint deps");
-      p = static_cast<int>(v);
-    }
-  }
-  auto read_ints = [&](std::vector<int>& out, const char* what) {
-    std::uint64_t m = 0;
-    if (!d.count(m, 8)) wire_state_error(what);
-    out.resize(static_cast<std::size_t>(m));
-    for (int& v : out) {
-      std::int64_t x = 0;
-      if (!d.i64(x)) wire_state_error(what);
-      v = static_cast<int>(x);
-    }
-  };
-  auto read_doubles = [&](std::vector<double>& out, const char* what) {
-    std::uint64_t m = 0;
-    if (!d.count(m, 8)) wire_state_error(what);
-    out.resize(static_cast<std::size_t>(m));
-    for (double& v : out) {
-      if (!d.f64(v)) wire_state_error(what);
-    }
-  };
-  read_ints(c.patch_home, "bad checkpoint patch_home");
-  read_ints(c.compute_pe, "bad checkpoint compute_pe");
-  if (c.patch_home.size() != patches_.size() ||
-      c.compute_pe.size() != computes_.size()) {
-    wire_state_error("checkpoint placement size mismatch");
-  }
-  read_doubles(c.reduction_totals, "bad checkpoint reduction totals");
-  std::uint64_t np = 0;
-  if (!d.count(np, 6 * 8)) wire_state_error("bad checkpoint potential");
-  c.potential_per_step.resize(static_cast<std::size_t>(np));
-  for (EnergyTerms& t : c.potential_per_step) {
-    if (!decode_terms(d, t)) wire_state_error("bad checkpoint potential");
-  }
-  read_doubles(c.step_completion, "bad checkpoint step completion");
-  read_doubles(c.step_last_advance, "bad checkpoint step last advance");
-  read_ints(c.steps_done_counter, "bad checkpoint step counters");
-  std::int64_t gs = 0;
-  if (!d.i64(gs)) wire_state_error("bad checkpoint global steps");
-  c.global_steps = static_cast<int>(gs);
-  Rng::State rs{};
-  for (std::uint64_t& s : rs.s) {
-    if (!d.u64(s)) wire_state_error("bad checkpoint rng");
-  }
-  std::uint8_t cached = 0;
-  if (!d.u64(rs.seed) || !d.u8(cached) || !d.f64(rs.cached_normal)) {
-    wire_state_error("bad checkpoint rng");
-  }
-  rs.has_cached_normal = cached != 0;
-  c.noise_rng.set_state(rs);
-  read_ints(c.slab_pe, "bad checkpoint slab_pe");
-  if (c.slab_pe.size() != slab_pe_.size()) {
-    wire_state_error("checkpoint slab count mismatch");
-  }
-  if (!d.done()) wire_state_error("trailing bytes in checkpoint");
 }
 
 void ParallelSim::evacuate_failed_pes(const std::vector<int>& dead) {
@@ -2028,24 +1762,10 @@ void ParallelSim::evacuate_failed_pes(const std::vector<int>& dead) {
 
   // 3. Migratable computes go through the LB evacuation strategy (greedy
   //    proxy-aware placement + refine over the survivors).
-  LbProblem problem;
-  problem.num_pes = opts_.num_pes;
-  problem.patch_home = patch_home_;
-  problem.background = db_->background();
   std::vector<int> object_compute;
+  const LbProblem problem = lb_problem(object_compute);
   LbAssignment start;
-  for (std::size_t i = 0; i < computes_.size(); ++i) {
-    if (wl_->plan.migratable_index()[i] < 0) continue;
-    LbObject o;
-    o.load = db_->object_load(
-        static_cast<std::uint32_t>(wl_->plan.migratable_index()[i]));
-    o.current_pe = compute_pe_[i];
-    o.patch_a = computes_[i].deps.empty() ? -1 : computes_[i].deps[0];
-    o.patch_b = computes_[i].deps.size() > 1 ? computes_[i].deps[1] : -1;
-    problem.objects.push_back(o);
-    start.push_back(compute_pe_[i]);
-    object_compute.push_back(static_cast<int>(i));
-  }
+  for (const LbObject& o : problem.objects) start.push_back(o.current_pe);
   const LbAssignment map = evacuate_map(problem, start, dead);
   int moved = 0;
   for (std::size_t j = 0; j < map.size(); ++j) {
@@ -2068,6 +1788,27 @@ void ParallelSim::evacuate_failed_pes(const std::vector<int>& dead) {
 // Load balancing
 // ---------------------------------------------------------------------------
 
+LbProblem ParallelSim::lb_problem(std::vector<int>& object_compute) const {
+  LbProblem problem;
+  problem.num_pes = opts_.num_pes;
+  problem.patch_home = patch_home_;
+  problem.background = db_->background();
+  object_compute.clear();
+  object_compute.reserve(static_cast<std::size_t>(wl_->plan.migratable_count()));
+  for (std::size_t i = 0; i < computes_.size(); ++i) {
+    const int mi = wl_->plan.migratable_index()[i];
+    if (mi < 0) continue;
+    LbObject o;
+    o.load = db_->object_load(static_cast<std::uint32_t>(mi));
+    o.current_pe = compute_pe_[i];
+    o.patch_a = computes_[i].deps.empty() ? -1 : computes_[i].deps[0];
+    o.patch_b = computes_[i].deps.size() > 1 ? computes_[i].deps[1] : -1;
+    problem.objects.push_back(o);
+    object_compute.push_back(static_cast<int>(i));
+  }
+  return problem;
+}
+
 void ParallelSim::load_balance(bool refine_only) {
   if (opts_.lb.kind == LbStrategyKind::kNone) {
     db_->reset();
@@ -2086,23 +1827,8 @@ void ParallelSim::load_balance(bool refine_only) {
   }
 
   // Build the strategy input from the measurement database.
-  LbProblem problem;
-  problem.num_pes = opts_.num_pes;
-  problem.patch_home = patch_home_;
-  problem.background = db_->background();
-  std::vector<int> object_compute;  // migratable index -> compute id
-  object_compute.reserve(static_cast<std::size_t>(wl_->plan.migratable_count()));
-  for (std::size_t i = 0; i < computes_.size(); ++i) {
-    const int mi = wl_->plan.migratable_index()[i];
-    if (mi < 0) continue;
-    LbObject o;
-    o.load = db_->object_load(static_cast<std::uint32_t>(mi));
-    o.current_pe = compute_pe_[i];
-    o.patch_a = computes_[i].deps.empty() ? -1 : computes_[i].deps[0];
-    o.patch_b = computes_[i].deps.size() > 1 ? computes_[i].deps[1] : -1;
-    problem.objects.push_back(o);
-    object_compute.push_back(static_cast<int>(i));
-  }
+  std::vector<int> object_compute;  // object -> compute id
+  LbProblem problem = lb_problem(object_compute);
   // PME slabs are ordinary migratable objects (patch-less: every strategy
   // treats patch_a = -1 as "no communication affinity"), priced from the
   // same measurement database via their task records. Dedicated-ranks mode
@@ -2189,6 +1915,64 @@ void ParallelSim::load_balance(bool refine_only) {
 // Atom migration (numeric mode, cycle boundaries)
 // ---------------------------------------------------------------------------
 
+void ParallelSim::refresh_atom_index() {
+  for (std::size_t p = 0; p < patches_.size(); ++p) {
+    PatchRt& pr = patches_[p];
+    if (opts_.numeric) pr.mass.resize(pr.atoms.size());
+    for (std::size_t i = 0; i < pr.atoms.size(); ++i) {
+      const auto a = static_cast<std::size_t>(pr.atoms[i]);
+      atom_loc_[a] = {static_cast<int>(p), static_cast<int>(i)};
+      if (opts_.numeric) pr.mass[i] = mol_->atoms()[a].mass;
+    }
+  }
+  // Bonded compute dependencies: term atoms may have changed patches
+  // (self/pair computes reference patches directly).
+  for (std::size_t i = 0; i < computes_.size(); ++i) {
+    const ComputeDesc& desc = wl_->plan.computes()[i];
+    if (is_nonbonded(desc.kind)) continue;
+    std::vector<int> deps;
+    auto add_dep = [&](int atom) {
+      const int p = atom_loc_[static_cast<std::size_t>(atom)].first;
+      if (std::find(deps.begin(), deps.end(), p) == deps.end()) deps.push_back(p);
+    };
+    for (int t : desc.terms) {
+      switch (desc.kind) {
+        case ComputeKind::kBonds: {
+          const Bond& term = mol_->bonds()[static_cast<std::size_t>(t)];
+          add_dep(term.a);
+          add_dep(term.b);
+          break;
+        }
+        case ComputeKind::kAngles: {
+          const Angle& term = mol_->angles()[static_cast<std::size_t>(t)];
+          add_dep(term.a);
+          add_dep(term.b);
+          add_dep(term.c);
+          break;
+        }
+        case ComputeKind::kDihedrals: {
+          const Dihedral& term = mol_->dihedrals()[static_cast<std::size_t>(t)];
+          add_dep(term.a);
+          add_dep(term.b);
+          add_dep(term.c);
+          add_dep(term.d);
+          break;
+        }
+        default: {
+          const Improper& term = mol_->impropers()[static_cast<std::size_t>(t)];
+          add_dep(term.a);
+          add_dep(term.b);
+          add_dep(term.c);
+          add_dep(term.d);
+          break;
+        }
+      }
+    }
+    std::sort(deps.begin(), deps.end());
+    computes_[i].deps = std::move(deps);
+  }
+}
+
 void ParallelSim::migrate_atoms() {
   const CellGrid& grid = wl_->decomp.grid();
   // Collect movers per source patch: (atom index, destination patch).
@@ -2218,7 +2002,7 @@ void ParallelSim::migrate_atoms() {
       d.atoms.reserve(n);
       d.pos.reserve(n);
       d.vel.reserve(n);
-      d.mass.reserve(n);
+      d.mass.reserve(n);  // refresh_atom_index() fills it
       d.frc.reserve(n);
     }
     // Apply moves: copy atom state to destinations, compact sources.
@@ -2232,7 +2016,6 @@ void ParallelSim::migrate_atoms() {
         d.atoms.push_back(src.atoms[static_cast<std::size_t>(idx)]);
         d.pos.push_back(src.pos[static_cast<std::size_t>(idx)]);
         d.vel.push_back(src.vel[static_cast<std::size_t>(idx)]);
-        d.mass.push_back(src.mass[static_cast<std::size_t>(idx)]);
         d.frc.push_back(src.frc[static_cast<std::size_t>(idx)]);
         moved[static_cast<std::size_t>(idx)] = 1;
         const int src_pe = patch_home_[p];
@@ -2246,69 +2029,15 @@ void ParallelSim::migrate_atoms() {
         src.atoms[w] = src.atoms[i];
         src.pos[w] = src.pos[i];
         src.vel[w] = src.vel[i];
-        src.mass[w] = src.mass[i];
         src.frc[w] = src.frc[i];
         ++w;
       }
       src.atoms.resize(w);
       src.pos.resize(w);
       src.vel.resize(w);
-      src.mass.resize(w);
       src.frc.resize(w);
     }
-    // Refresh atom locations.
-    for (std::size_t p = 0; p < patches_.size(); ++p) {
-      for (std::size_t i = 0; i < patches_[p].atoms.size(); ++i) {
-        atom_loc_[static_cast<std::size_t>(patches_[p].atoms[i])] = {
-            static_cast<int>(p), static_cast<int>(i)};
-      }
-    }
-    // Refresh bonded compute dependencies (term atoms may have changed
-    // patches; self/pair computes reference patches directly).
-    for (std::size_t i = 0; i < computes_.size(); ++i) {
-      const ComputeDesc& desc = wl_->plan.computes()[i];
-      if (is_nonbonded(desc.kind)) continue;
-      std::vector<int> deps;
-      auto add_dep = [&](int atom) {
-        const int p = atom_loc_[static_cast<std::size_t>(atom)].first;
-        if (std::find(deps.begin(), deps.end(), p) == deps.end()) deps.push_back(p);
-      };
-      for (int t : desc.terms) {
-        switch (desc.kind) {
-          case ComputeKind::kBonds: {
-            const Bond& term = mol_->bonds()[static_cast<std::size_t>(t)];
-            add_dep(term.a);
-            add_dep(term.b);
-            break;
-          }
-          case ComputeKind::kAngles: {
-            const Angle& term = mol_->angles()[static_cast<std::size_t>(t)];
-            add_dep(term.a);
-            add_dep(term.b);
-            add_dep(term.c);
-            break;
-          }
-          case ComputeKind::kDihedrals: {
-            const Dihedral& term = mol_->dihedrals()[static_cast<std::size_t>(t)];
-            add_dep(term.a);
-            add_dep(term.b);
-            add_dep(term.c);
-            add_dep(term.d);
-            break;
-          }
-          default: {
-            const Improper& term = mol_->impropers()[static_cast<std::size_t>(t)];
-            add_dep(term.a);
-            add_dep(term.b);
-            add_dep(term.c);
-            add_dep(term.d);
-            break;
-          }
-        }
-      }
-      std::sort(deps.begin(), deps.end());
-      computes_[i].deps = std::move(deps);
-    }
+    refresh_atom_index();
     // Model the migration traffic: one batched message per (src, dst) PE
     // pair, sized by the number of atoms moved. Skipped under the process
     // backend (atoms move in the parent; the modeled messages have no wire
@@ -2391,35 +2120,19 @@ int ParallelSim::max_proxies_per_patch() const {
   return best;
 }
 
-std::vector<Vec3> ParallelSim::gather_positions() const {
+std::vector<Vec3> ParallelSim::gather(std::vector<Vec3> PatchRt::*field) const {
   std::vector<Vec3> out(static_cast<std::size_t>(mol_->atom_count()));
   for (const PatchRt& p : patches_) {
     for (std::size_t i = 0; i < p.atoms.size(); ++i) {
-      out[static_cast<std::size_t>(p.atoms[i])] = p.pos[i];
+      out[static_cast<std::size_t>(p.atoms[i])] = (p.*field)[i];
     }
   }
   return out;
 }
 
-std::vector<Vec3> ParallelSim::gather_velocities() const {
-  std::vector<Vec3> out(static_cast<std::size_t>(mol_->atom_count()));
-  for (const PatchRt& p : patches_) {
-    for (std::size_t i = 0; i < p.atoms.size(); ++i) {
-      out[static_cast<std::size_t>(p.atoms[i])] = p.vel[i];
-    }
-  }
-  return out;
-}
-
-std::vector<Vec3> ParallelSim::gather_forces() const {
-  std::vector<Vec3> out(static_cast<std::size_t>(mol_->atom_count()));
-  for (const PatchRt& p : patches_) {
-    for (std::size_t i = 0; i < p.atoms.size(); ++i) {
-      out[static_cast<std::size_t>(p.atoms[i])] = p.frc[i];
-    }
-  }
-  return out;
-}
+std::vector<Vec3> ParallelSim::gather_positions() const { return gather(&PatchRt::pos); }
+std::vector<Vec3> ParallelSim::gather_velocities() const { return gather(&PatchRt::vel); }
+std::vector<Vec3> ParallelSim::gather_forces() const { return gather(&PatchRt::frc); }
 
 EnergyTerms ParallelSim::potential_terms_at_step(int s) const {
   if (s < 0 || static_cast<std::size_t>(s) >= potential_per_step_.size()) {

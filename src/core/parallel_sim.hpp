@@ -25,6 +25,8 @@
 
 namespace scalemd {
 
+struct LbProblem;
+
 /// Which strategy drives object remapping (ablation-friendly).
 enum class LbStrategyKind {
   kNone,          ///< keep the static initial placement
@@ -47,6 +49,15 @@ struct LbPolicy {
 class ParallelConfigError : public std::invalid_argument {
  public:
   using std::invalid_argument::invalid_argument;
+};
+
+/// A state blob ParallelSim cannot adopt: truncated or corrupt bytes, or a
+/// state that does not fit this sim (another molecule, patch or compute
+/// structure, or a PE the machine does not have). import_state and a
+/// checkpoint restore throw it before changing anything.
+class StateError : public std::runtime_error {
+ public:
+  using std::runtime_error::runtime_error;
 };
 
 /// A workload bundles everything about the molecular system that is
@@ -174,7 +185,8 @@ class ParallelSim {
   double run_benchmark(int measure_steps = 3, int timed_steps = 5);
 
   /// Runs one pipelined cycle of `steps` timesteps and quiesces. In numeric
-  /// mode, atoms that left their patch cube migrate afterwards.
+  /// mode, atoms that left their patch cube migrate afterwards. Throws
+  /// ParallelConfigError when steps < 1.
   void run_cycle(int steps);
 
   /// Applies the configured strategy (greedy and/or refine) using loads
@@ -257,18 +269,19 @@ class ParallelSim {
   /// checker uses this to tell "stalled by fault" from a runtime bug.
   bool last_cycle_complete() const;
 
-  /// Serialized coordinated checkpoint of the current state — the same blob
-  /// the process backend writes to disk (wire-encoded, raw IEEE bits).
+  /// The encoded sim state (wire-encoded, raw IEEE bits) — the blob every
+  /// checkpoint keeps: in memory on the DES, on disk on the process backend.
   /// Requires a quiesced machine (between run_cycle calls). The serve layer
   /// preempts jobs with this: export, destroy the sim, later import into a
   /// fresh ParallelSim built from the same workload and options.
   std::vector<std::uint8_t> export_state() const;
   /// Adopts a blob produced by export_state() on a compatible ParallelSim
-  /// (same workload, same patch/compute structure — validated strictly) and
-  /// rebuilds the dataflow and reducer around the restored placement.
-  /// Unlike a fault restore, this counts no restart and charges no lost
-  /// time: resuming from an imported checkpoint continues the run exactly
-  /// where the exporting sim stopped, bitwise.
+  /// and rebuilds the derived state, dataflow and reducer around it. The
+  /// decode is strict: a blob that is malformed or does not fit this sim
+  /// throws StateError and leaves the sim untouched. Unlike a fault
+  /// restore, this counts no restart and charges no lost time: resuming
+  /// from an imported state continues the run exactly where the exporting
+  /// sim stopped, bitwise.
   void import_state(const std::vector<std::uint8_t>& blob);
 
   int checkpoints_taken() const { return checkpoints_taken_; }
@@ -290,7 +303,7 @@ class ParallelSim {
   struct ProxyRt;
   struct ComputeRt;
   struct PmeSlabRt;
-  struct Checkpoint;
+  struct SimState;
 
   Simulator* des_or_throw() const;
   void build_initial_placement();
@@ -309,6 +322,9 @@ class ParallelSim {
   void on_contribution(ExecContext& ctx, int patch, int from_proxy);
   void advance(ExecContext& ctx, int patch);
   void migrate_atoms();
+  /// Rebuilds what follows from the patches' atom ids: atom_loc_, the
+  /// patches' masses and the bonded computes' patch dependencies.
+  void refresh_atom_index();
   // --- parallel PME pipeline (see the "Parallel PME" section in the .cpp) --
   /// Initial slab placement: round-robin over all PEs, or pinned onto the
   /// last `pme.dedicated_ranks` PEs.
@@ -320,7 +336,7 @@ class ParallelSim {
   /// the message crossed a worker boundary, else read from the replica);
   /// when all patches deposited, spreads + 2D FFTs + sends forward blocks.
   void on_pme_atoms(ExecContext& ctx, int slab, int patch, int step,
-                    const std::vector<double>* wire_pos);
+                    std::vector<Vec3>* wire_pos);
   void pme_spread_and_transpose(ExecContext& ctx, int slab);
   /// Slab phase 2: collects forward transpose blocks; when all S arrived,
   /// z-FFT + influence convolution (energy partial) + inverse z-FFT, then
@@ -341,6 +357,10 @@ class ParallelSim {
   /// frozen mode, so frozen-mode benchmarks price PME realistically).
   double pme_phase_cost(int slab, int phase) const;
   int proxy_index(int patch, int pe) const;
+  /// Modeled size of a message carrying `n` items of `item_bytes` each.
+  std::size_t msg_bytes(std::size_t n, std::size_t item_bytes) const {
+    return static_cast<std::size_t>(opts_.msg_header_bytes) + n * item_bytes;
+  }
   /// Applies the machine's multiplicative task-time noise to a cost.
   double noisy(double cost);
   /// Routes through the reliable layer when enabled, else a raw send.
@@ -349,29 +369,31 @@ class ParallelSim {
   void attempt_cycle(int steps);
   void take_checkpoint();
   void restore_checkpoint();
-  /// Adopts a decoded checkpoint: state copy + reducer/dataflow rebuild
-  /// (evacuating failed PEs when there are any). Shared by the fault
-  /// restore path (which additionally books restart accounting) and
-  /// import_state (which must not).
-  void apply_checkpoint(const Checkpoint& c);
   /// True when a checkpoint exists to restore from (in memory for the DES
   /// backend, on disk for the process backend).
-  bool have_checkpoint() const { return ckpt_ != nullptr || ckpt_on_disk_; }
-  void snapshot_to(Checkpoint& c) const;
-  void restore_from(const Checkpoint& c);
-  std::vector<std::uint8_t> encode_checkpoint(const Checkpoint& c) const;
-  /// Strict decode; any inconsistency with the current workload is a hard
-  /// error (aborts) — restoring a half-garbled checkpoint would corrupt
-  /// the run silently.
-  void decode_checkpoint(const std::vector<std::uint8_t>& blob, Checkpoint& c) const;
+  bool have_checkpoint() const { return !ckpt_.empty() || ckpt_on_disk_; }
+  /// Strict decode of an export_state() blob into a staging record, checked
+  /// against this sim; throws StateError and changes nothing on a bad blob.
+  SimState decode_state(const std::vector<std::uint8_t>& blob) const;
+  /// Adopts a decoded state: rebuilds the derived state, then the reducer
+  /// and the dataflow (evacuating failed PEs when there are any). Shared by
+  /// the fault restore (which also books restart accounting) and
+  /// import_state (which must not).
+  void apply_state(SimState s);
   /// Process-backend wire plumbing: per-entry decoders for the messages
   /// that cross worker boundaries, plus the end-of-run state flush/merge.
   void setup_process_wire();
-  std::vector<std::uint8_t> flush_worker_state(int worker, int workers) const;
-  void merge_worker_state(int worker, const std::vector<std::uint8_t>& blob);
+  std::vector<std::uint8_t> flush_worker_state(int worker) const;
+  void merge_worker_state(const std::vector<std::uint8_t>& blob);
   /// Re-homes a failed PE's patches and computes onto survivors and
   /// rebuilds the reducer and the dataflow. Records kEvacuation.
   void evacuate_failed_pes(const std::vector<int>& dead);
+  /// Load-balancer input for the migratable computes (measured loads,
+  /// current PEs, patch dependencies); object_compute maps each object back
+  /// to its compute id.
+  LbProblem lb_problem(std::vector<int>& object_compute) const;
+  /// Per-atom `field` of every patch, by global atom id.
+  std::vector<Vec3> gather(std::vector<Vec3> PatchRt::*field) const;
 
   const Workload* wl_;
   ParallelOptions opts_;
@@ -463,8 +485,9 @@ class ParallelSim {
 
   // Resilience state.
   std::unique_ptr<ReliableComm> reliable_;
-  std::unique_ptr<Checkpoint> ckpt_;
+  std::vector<std::uint8_t> ckpt_;  ///< DES: the last checkpoint's state blob
   bool ckpt_on_disk_ = false;  ///< process backend: checkpoint lives on disk
+  double ckpt_taken_at_ = 0.0;  ///< backend time of the last checkpoint
   std::vector<int> cycles_since_ckpt_;  // step counts of cycles to replay
   int checkpoints_taken_ = 0;
   int restarts_ = 0;

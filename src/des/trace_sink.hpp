@@ -30,6 +30,12 @@ struct TaskRecord {
   double send_cost = 0.0;    ///< send/enqueue-overhead part of duration
 };
 
+/// Wire field list (rts/wire.hpp).
+template <class Ar>
+void fields(Ar& ar, TaskRecord& r) {
+  ar(r.pe, r.entry, r.object, r.start, r.duration, r.recv_cost, r.pack_cost, r.send_cost);
+}
+
 /// One message delivery between virtual processors.
 struct MsgRecord {
   int src_pe = 0;
@@ -39,6 +45,12 @@ struct MsgRecord {
   double send_time = 0.0;
   double recv_time = 0.0;
 };
+
+/// Wire field list (rts/wire.hpp).
+template <class Ar>
+void fields(Ar& ar, MsgRecord& r) {
+  ar(r.src_pe, r.dst_pe, r.entry, r.bytes, r.send_time, r.recv_time);
+}
 
 /// What happened to the machine or the runtime outside normal execution:
 /// either an injected fault (FaultPlan, src/des/fault.hpp) or a recovery

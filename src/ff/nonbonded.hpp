@@ -95,6 +95,12 @@ struct EnergyTerms {
   }
 };
 
+/// Wire field list (rts/wire.hpp).
+template <class Ar>
+void fields(Ar& ar, EnergyTerms& t) {
+  ar(t.lj, t.elec, t.bond, t.angle, t.dihedral, t.improper);
+}
+
 /// Immutable per-system inputs shared by every non-bonded kernel call:
 /// force-field parameters, exclusion table, per-atom charge/type arrays
 /// (indexed by *global* atom id), and the cutoff scheme.

@@ -19,16 +19,13 @@ class ExecContext;
 /// backends that measure real time instead of modeling it).
 using TaskFn = std::function<void(ExecContext&)>;
 
-/// Serializable argument pack of an entry-method invocation. Closures
-/// (TaskFn) cannot cross an address-space boundary, so backends that route
-/// messages between OS processes (ProcessBackend) ship this instead and
-/// reconstruct the closure at the destination via a per-entry registered
-/// decoder. Doubles travel as raw IEEE-754 bits: bitwise trajectory
-/// equality survives the wire.
-struct WirePayload {
-  std::vector<std::int64_t> ints;
-  std::vector<double> reals;
-};
+/// Wire form of an entry-method invocation: the encoded bytes of the
+/// message's record (rts/wire.hpp). Closures (TaskFn) cannot cross an
+/// address-space boundary, so backends that route messages between OS
+/// processes (ProcessBackend) ship this instead and rebuild the closure at
+/// the destination with a per-entry registered decoder. Doubles travel as
+/// raw IEEE-754 bits: bitwise trajectory equality survives the wire.
+using WirePayload = std::vector<std::uint8_t>;
 
 /// A message carrying an entry-method invocation to a virtual processor.
 struct TaskMsg {
@@ -37,11 +34,10 @@ struct TaskMsg {
   int priority = 0;          ///< lower runs first among available messages
   std::size_t bytes = 0;     ///< payload size for the network model
   TaskFn fn;
-  /// Wire form of the invocation, attached by senders only when the active
-  /// backend may have to cross a process boundary (has_wire == true).
-  /// Single-address-space backends ignore it and run `fn` directly.
+  /// Wire form of the invocation, attached (non-empty) by senders only when
+  /// the message crosses a process boundary. Single-address-space backends
+  /// ignore it and run `fn` directly.
   WirePayload wire;
-  bool has_wire = false;
 };
 
 /// Names and audit categories of entry methods. The registry is what makes

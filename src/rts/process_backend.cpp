@@ -73,57 +73,40 @@ HeartbeatDetector::State HeartbeatDetector::on_tick(int peer) {
 
 namespace {
 
-/// Serialized TaskMsg routed between workers (kTask frames).
+/// Serialized TaskMsg routed between workers (kTask frames). dest_pe is
+/// the first field, so the parent routes a frame by reading only that.
 struct TaskFrame {
   int dest_pe = 0;
   int src_pe = 0;
   EntryId entry = 0;
   std::uint64_t object = 0;
-  std::int64_t priority = 0;
-  std::uint64_t bytes = 0;
+  int priority = 0;
+  std::size_t bytes = 0;
   double sent_at = 0.0;
-  WirePayload wire;
+  WirePayload payload;
+
+  template <class Ar>
+  void fields(Ar& ar) {
+    ar(dest_pe, src_pe, entry, object, priority, bytes, sent_at, payload);
+  }
 };
 
-std::vector<std::uint8_t> encode_task(const TaskFrame& t) {
-  wire::Encoder e;
-  e.i64(t.dest_pe);
-  e.i64(t.src_pe);
-  e.i64(t.entry);
-  e.u64(t.object);
-  e.i64(t.priority);
-  e.u64(t.bytes);
-  e.f64(t.sent_at);
-  e.u64(t.wire.ints.size());
-  for (std::int64_t v : t.wire.ints) e.i64(v);
-  e.u64(t.wire.reals.size());
-  for (double v : t.wire.reals) e.f64(v);
-  return e.take();
-}
+/// A worker's end-of-run report (kState frames): its message counts, busy
+/// seconds per owned PE, instrumentation records and the application's
+/// state blob (the flush hook's output).
+struct WorkerReport {
+  std::uint64_t offered = 0;
+  std::uint64_t executed = 0;
+  std::vector<std::pair<int, double>> busy;
+  std::vector<TaskRecord> tasks;
+  std::vector<MsgRecord> msgs;
+  std::vector<std::uint8_t> app;
 
-bool decode_task(const std::vector<std::uint8_t>& payload, TaskFrame& t) {
-  wire::Decoder d(payload);
-  std::int64_t dest = 0, src = 0, entry = 0;
-  d.i64(dest);
-  d.i64(src);
-  d.i64(entry);
-  d.u64(t.object);
-  d.i64(t.priority);
-  d.u64(t.bytes);
-  d.f64(t.sent_at);
-  std::uint64_t n = 0;
-  if (!d.count(n, 8)) return false;
-  t.wire.ints.resize(static_cast<std::size_t>(n));
-  for (auto& v : t.wire.ints) d.i64(v);
-  if (!d.count(n, 8)) return false;
-  t.wire.reals.resize(static_cast<std::size_t>(n));
-  for (auto& v : t.wire.reals) d.f64(v);
-  if (!d.done()) return false;
-  t.dest_pe = static_cast<int>(dest);
-  t.src_pe = static_cast<int>(src);
-  t.entry = static_cast<EntryId>(entry);
-  return true;
-}
+  template <class Ar>
+  void fields(Ar& ar) {
+    ar(offered, executed, busy, tasks, msgs, app);
+  }
+};
 
 }  // namespace
 
@@ -183,7 +166,7 @@ struct ProcessBackend::WorkerState {
       enqueue(src_pe, dst_pe, std::move(msg), sent_at);
       return;
     }
-    if (!msg.has_wire ||
+    if (msg.wire.empty() ||
         backend->decoders_.find(msg.entry) == backend->decoders_.end()) {
       std::fprintf(stderr,
                    "[scalemd] process worker %d: entry '%s' crosses a worker "
@@ -191,16 +174,9 @@ struct ProcessBackend::WorkerState {
                    worker, backend->entries_.name(msg.entry).c_str());
       _exit(3);
     }
-    TaskFrame t;
-    t.dest_pe = dst_pe;
-    t.src_pe = src_pe;
-    t.entry = msg.entry;
-    t.object = msg.object;
-    t.priority = msg.priority;
-    t.bytes = msg.bytes;
-    t.sent_at = sent_at;
-    t.wire = std::move(msg.wire);
-    if (!wire::write_frame(fd, wire::FrameType::kTask, encode_task(t))) {
+    const TaskFrame t{dst_pe,       src_pe,    msg.entry, msg.object,
+                      msg.priority, msg.bytes, sent_at,   std::move(msg.wire)};
+    if (!wire::write_frame(fd, wire::FrameType::kTask, wire::encode(t))) {
       _exit(1);  // parent gone
     }
   }
@@ -258,7 +234,7 @@ void ProcessBackend::worker_main(int worker, int fd, double t0) {
     switch (type) {
       case wire::FrameType::kTask: {
         TaskFrame t;
-        if (!decode_task(payload, t)) {
+        if (!wire::decode(payload, t)) {
           std::fprintf(stderr, "[scalemd] process worker %d: %s task frame\n",
                        worker, wire::wire_error_name(wire::WireError::kMalformed));
           _exit(2);
@@ -269,9 +245,9 @@ void ProcessBackend::worker_main(int worker, int fd, double t0) {
         TaskMsg msg;
         msg.entry = t.entry;
         msg.object = t.object;
-        msg.priority = static_cast<int>(t.priority);
-        msg.bytes = static_cast<std::size_t>(t.bytes);
-        msg.fn = it->second(t.wire);
+        msg.priority = t.priority;
+        msg.bytes = t.bytes;
+        msg.fn = it->second(t.payload);
         ws.enqueue(t.src_pe, t.dest_pe, std::move(msg), t.sent_at);
         break;
       }
@@ -279,36 +255,16 @@ void ProcessBackend::worker_main(int worker, int fd, double t0) {
         if (!wire::write_frame(fd, wire::FrameType::kPong, {})) _exit(1);
         break;
       case wire::FrameType::kFlush: {
-        wire::Encoder e;
-        e.u64(ws.offered);
-        e.u64(ws.executed);
-        std::uint32_t owned = 0;
-        for (int pe = worker; pe < num_pes_; pe += workers_) ++owned;
-        e.u32(owned);
+        WorkerReport rep;
+        rep.offered = ws.offered;
+        rep.executed = ws.executed;
         for (int pe = worker; pe < num_pes_; pe += workers_) {
-          e.u32(static_cast<std::uint32_t>(pe));
-          e.f64(ws.busy[static_cast<std::size_t>(pe)]);
+          rep.busy.emplace_back(pe, ws.busy[static_cast<std::size_t>(pe)]);
         }
-        e.u64(ws.task_records.size());
-        for (const TaskRecord& r : ws.task_records) {
-          e.i64(r.pe);
-          e.i64(r.entry);
-          e.u64(r.object);
-          e.f64(r.start);
-          e.f64(r.duration);
-        }
-        e.u64(ws.msg_records.size());
-        for (const MsgRecord& r : ws.msg_records) {
-          e.i64(r.src_pe);
-          e.i64(r.dst_pe);
-          e.i64(r.entry);
-          e.u64(r.bytes);
-          e.f64(r.send_time);
-          e.f64(r.recv_time);
-        }
-        e.blob(flush_hook_ ? flush_hook_(worker, workers_)
-                           : std::vector<std::uint8_t>{});
-        if (!wire::write_frame(fd, wire::FrameType::kState, e.take())) _exit(1);
+        rep.tasks = std::move(ws.task_records);
+        rep.msgs = std::move(ws.msg_records);
+        if (flush_hook_) rep.app = flush_hook_(worker, workers_);
+        if (!wire::write_frame(fd, wire::FrameType::kState, wire::encode(rep))) _exit(1);
         break;
       }
       case wire::FrameType::kExit:
@@ -387,9 +343,9 @@ void ProcessBackend::worker_main(int worker, int fd, double t0) {
     // Quiesced locally: tell the parent how many frames we have consumed,
     // then block for more work (or the flush/exit sequence).
     if (ws.received != last_idle_report || last_idle_report == ~0ull) {
-      wire::Encoder e;
-      e.u64(ws.received);
-      if (!wire::write_frame(fd, wire::FrameType::kIdle, e.take())) _exit(1);
+      if (!wire::write_frame(fd, wire::FrameType::kIdle, wire::encode(ws.received))) {
+        _exit(1);
+      }
       last_idle_report = ws.received;
     }
     pump(/*wait=*/ws.queued == 0);
@@ -468,61 +424,25 @@ void ProcessBackend::inject(int pe, TaskMsg msg, double /*time*/) {
 
 void ProcessBackend::merge_worker_blob(int worker,
                                        const std::vector<std::uint8_t>& blob) {
-  wire::Decoder d(blob);
-  std::uint64_t offered = 0, executed = 0;
-  d.u64(offered);
-  d.u64(executed);
-  std::uint32_t owned = 0;
-  d.u32(owned);
-  for (std::uint32_t i = 0; i < owned && d.ok(); ++i) {
-    std::uint32_t pe = 0;
-    double busy = 0.0;
-    d.u32(pe);
-    d.f64(busy);
-    if (pe < busy_.size()) busy_[pe] += busy;
-  }
-  std::uint64_t n = 0;
-  d.count(n, 5 * 8);
-  for (std::uint64_t i = 0; i < n && d.ok(); ++i) {
-    std::int64_t pe = 0, entry = 0;
-    TaskRecord r;
-    d.i64(pe);
-    d.i64(entry);
-    d.u64(r.object);
-    d.f64(r.start);
-    d.f64(r.duration);
-    r.pe = static_cast<int>(pe);
-    r.entry = static_cast<EntryId>(entry);
-    if (sink_ != nullptr && d.ok()) sink_->on_task(r);
-  }
-  d.count(n, 6 * 8);
-  for (std::uint64_t i = 0; i < n && d.ok(); ++i) {
-    std::int64_t src = 0, dst = 0, entry = 0;
-    std::uint64_t bytes = 0;
-    MsgRecord r;
-    d.i64(src);
-    d.i64(dst);
-    d.i64(entry);
-    d.u64(bytes);
-    d.f64(r.send_time);
-    d.f64(r.recv_time);
-    r.src_pe = static_cast<int>(src);
-    r.dst_pe = static_cast<int>(dst);
-    r.entry = static_cast<EntryId>(entry);
-    r.bytes = static_cast<std::size_t>(bytes);
-    if (sink_ != nullptr && d.ok()) sink_->on_message(r);
-  }
-  std::vector<std::uint8_t> app;
-  d.blob(app);
-  if (!d.done()) {
+  WorkerReport rep;
+  if (!wire::decode(blob, rep)) {
     std::fprintf(stderr, "[scalemd] process backend: malformed state blob from worker %d\n",
                  worker);
     std::abort();
   }
-  acct_.offered += offered;
-  acct_.executed += executed;
-  executed_ += executed;
-  if (merge_hook_) merge_hook_(worker, app);
+  for (const auto& [pe, busy] : rep.busy) {
+    if (pe >= 0 && static_cast<std::size_t>(pe) < busy_.size()) {
+      busy_[static_cast<std::size_t>(pe)] += busy;
+    }
+  }
+  if (sink_ != nullptr) {
+    for (const TaskRecord& r : rep.tasks) sink_->on_task(r);
+    for (const MsgRecord& r : rep.msgs) sink_->on_message(r);
+  }
+  acct_.offered += rep.offered;
+  acct_.executed += rep.executed;
+  executed_ += rep.executed;
+  if (merge_hook_) merge_hook_(worker, rep.app);
 }
 
 void ProcessBackend::fail_epoch(Supervisor& sup, int dead_worker, const char* why) {
@@ -613,16 +533,17 @@ void ProcessBackend::run() {
   const char* fail_why = nullptr;
 
   auto route_task = [&](const std::vector<std::uint8_t>& payload) -> bool {
-    wire::Decoder d(payload);
-    std::int64_t dest = 0;
-    if (!d.i64(dest) || dest < 0 || dest >= num_pes_) return false;
+    wire::Reader r(payload);
+    int dest = -1;
+    r(dest);  // TaskFrame's first field
+    if (!r.ok() || dest < 0 || dest >= num_pes_) return false;
     ++frames_routed_;
     chaos_check();
-    if (dead_pes_.count(static_cast<int>(dest)) != 0) {
+    if (dead_pes_.count(dest) != 0) {
       ++acct_.discarded_dead_pe;
       return true;
     }
-    const int w = owner_of(static_cast<int>(dest));
+    const int w = owner_of(dest);
     sup.queue(w, wire::FrameType::kTask, payload);
     ++sup.ws[static_cast<std::size_t>(w)].delivered;
     sup.ws[static_cast<std::size_t>(w)].idle = false;
@@ -685,9 +606,8 @@ void ProcessBackend::run() {
               }
               break;
             case wire::FrameType::kIdle: {
-              wire::Decoder d(payload);
               std::uint64_t received = 0;
-              if (!d.u64(received)) {
+              if (!wire::decode(payload, received)) {
                 failed_worker = w;
                 fail_why = "malformed idle frame";
                 break;

@@ -2,10 +2,27 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cstdio>
+#include <cstdlib>
 
 #include "rts/reliable.hpp"
+#include "rts/wire.hpp"
 
 namespace scalemd {
+
+/// One upward message of the tree: the (contributor id, value) pairs a node
+/// gathered for a round, addressed to its parent's rank.
+struct Reducer::Partial {
+  int parent_rank = 0;
+  int round = 0;
+  int forwarded = 0;  ///< contributions the pairs stand for
+  std::vector<std::pair<int, double>> parts;
+
+  template <class Ar>
+  void fields(Ar& ar) {
+    ar(parent_rank, round, forwarded, parts);
+  }
+};
 
 Reducer::Reducer(std::vector<int> pe_of_contributor, EntryId entry,
                  std::function<void(int round, double total)> callback)
@@ -66,33 +83,35 @@ void Reducer::absorb(ExecContext& ctx, int rank, int round,
   }
   const int parent_rank = (rank - 1) / 2;
   const int parent_pe = active_pes_[static_cast<std::size_t>(parent_rank)];
+  Partial p{parent_rank, round, forwarded, std::move(all)};
   TaskMsg msg;
   msg.entry = entry_;
   msg.bytes = 32;  // modeled payload: one scalar + header (pairs are bookkeeping)
   msg.priority = -1;  // reductions are latency-critical
-  if (wire_) {
-    msg.has_wire = true;
-    msg.wire.ints.reserve(4 + all.size());
-    msg.wire.ints.push_back(parent_rank);
-    msg.wire.ints.push_back(round);
-    msg.wire.ints.push_back(forwarded);
-    msg.wire.ints.push_back(static_cast<std::int64_t>(all.size()));
-    msg.wire.reals.reserve(all.size());
-    for (const auto& p : all) {
-      msg.wire.ints.push_back(p.first);
-      msg.wire.reals.push_back(p.second);
-    }
-  }
-  msg.fn = [this, parent_rank, round, all = std::move(all),
-            forwarded](ExecContext& c) mutable {
-    c.charge(1e-6);  // combine cost
-    absorb(c, parent_rank, round, std::move(all), forwarded);
-  };
+  if (wire_) msg.wire = wire::encode(p);
+  msg.fn = climb(std::move(p));
   if (reliable_ != nullptr) {
     reliable_->send(ctx, parent_pe, std::move(msg));
   } else {
     ctx.send(parent_pe, std::move(msg));
   }
+}
+
+TaskFn Reducer::decode(const WirePayload& payload) {
+  Partial p;
+  if (!wire::decode(payload, p) || p.parent_rank < 0 ||
+      static_cast<std::size_t>(p.parent_rank) >= active_pes_.size()) {
+    std::fprintf(stderr, "[scalemd] reduction: malformed partial-sum payload\n");
+    std::abort();
+  }
+  return climb(std::move(p));
+}
+
+TaskFn Reducer::climb(Partial p) {
+  return [this, p = std::move(p)](ExecContext& c) mutable {
+    c.charge(1e-6);  // combine cost
+    absorb(c, p.parent_rank, p.round, std::move(p.parts), p.forwarded);
+  };
 }
 
 void Reducer::clear_pending() {

@@ -39,17 +39,15 @@ class Reducer {
   /// layer (nullptr = raw sends). Contributions themselves are local calls.
   void set_reliable(ReliableComm* reliable) { reliable_ = reliable; }
 
-  /// Attaches a WirePayload to every upward message so the process backend
-  /// can route it across workers: ints = [parent rank, round, forwarded
-  /// count, n, contributor ids...], reals = the n values.
+  /// Attaches a wire payload (one encoded partial-sum record) to every
+  /// upward message so the process backend can route it across workers.
   void set_wire(bool on) { wire_ = on; }
 
-  /// Wire entry point: re-injects a decoded upward message at `rank`.
-  /// Equivalent to the closure the sender would have run in-process.
-  void deliver(ExecContext& ctx, int rank, int round,
-               std::vector<std::pair<int, double>> parts, int count) {
-    absorb(ctx, rank, round, std::move(parts), count);
-  }
+  /// Wire entry point: rebuilds the closure of an upward message from its
+  /// payload — the same closure the sender would have run in-process.
+  /// Aborts on a malformed payload (it comes from a sibling worker of the
+  /// same run, never from outside).
+  TaskFn decode(const WirePayload& payload);
 
   /// Discards every partially filled round on every tree node. Checkpoint
   /// restart uses this: replayed contributions must start from a clean
@@ -57,6 +55,8 @@ class Reducer {
   void clear_pending();
 
  private:
+  struct Partial;
+
   struct NodeRound {
     int received = 0;
     /// (contributor id, value) pairs gathered so far. Carrying the pairs up
@@ -72,6 +72,8 @@ class Reducer {
               std::vector<std::pair<int, double>> parts, int count);
 
   int rank_of_pe(int pe) const;
+  /// The task that absorbs an upward message at its parent's rank.
+  TaskFn climb(Partial p);
 
   std::vector<int> active_pes_;            ///< participating PEs, tree order
   std::unordered_map<int, int> pe_rank_;   ///< pe -> rank

@@ -1,7 +1,11 @@
 #pragma once
 
+#include <algorithm>
+#include <array>
 #include <cstddef>
 #include <cstdint>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 namespace scalemd {
@@ -122,6 +126,8 @@ class Decoder {
   /// malformed payload, not a success).
   bool done() const { return ok_ && pos_ == len_; }
   std::size_t remaining() const { return len_ - pos_; }
+  /// Latches a failure found above the byte level (a value out of range).
+  void fail() { ok_ = false; }
 
  private:
   bool take(void* out, std::size_t n);
@@ -131,6 +137,175 @@ class Decoder {
   std::size_t pos_ = 0;
   bool ok_ = true;
 };
+
+// --- field-list codec ------------------------------------------------------
+//
+// Every record that crosses a process or disk boundary has exactly one field
+// list, which Writer runs forwards and Reader runs backwards, so a record's
+// encoding and decoding cannot disagree (Charm++'s PUP routine). A record
+// opts in with a member
+//     template <class Ar> void fields(Ar& ar) { ar(a, b, c); }
+// or with a free `fields(Ar&, T&)` found by argument-dependent lookup.
+//
+// Values: bool (1 byte), integers and enums (8 bytes; the Reader rejects a
+// value its target type cannot hold), double (raw IEEE-754 bits), pairs,
+// fixed arrays (no count), byte vectors (count + bulk bytes) and vectors of
+// anything else (count + elements).
+
+namespace detail {
+
+template <class T>
+inline constexpr bool is_vector = false;
+template <class T, class A>
+inline constexpr bool is_vector<std::vector<T, A>> = true;
+template <class T>
+inline constexpr bool is_pair = false;
+template <class A, class B>
+inline constexpr bool is_pair<std::pair<A, B>> = true;
+template <class T>
+inline constexpr bool is_array = std::is_array_v<T>;
+template <class T, std::size_t N>
+inline constexpr bool is_array<std::array<T, N>> = true;
+
+template <class Ar, class T>
+void run_fields(Ar& ar, T& v) {
+  if constexpr (requires { v.fields(ar); }) {
+    v.fields(ar);
+  } else {
+    fields(ar, v);
+  }
+}
+
+}  // namespace detail
+
+class Writer {
+ public:
+  template <class... T>
+  void operator()(const T&... v) {
+    (put(v), ...);
+  }
+  const std::vector<std::uint8_t>& bytes() const { return e_.bytes(); }
+  std::vector<std::uint8_t> take() { return e_.take(); }
+
+ private:
+  template <class T>
+  void put(const T& v) {
+    if constexpr (std::is_same_v<T, bool>) {
+      e_.u8(v ? 1 : 0);
+    } else if constexpr (std::is_enum_v<T>) {
+      put(static_cast<std::underlying_type_t<T>>(v));
+    } else if constexpr (std::is_integral_v<T> && std::is_signed_v<T>) {
+      e_.i64(v);
+    } else if constexpr (std::is_integral_v<T>) {
+      e_.u64(v);
+    } else if constexpr (std::is_same_v<T, double>) {
+      e_.f64(v);
+    } else if constexpr (detail::is_array<T>) {
+      for (const auto& x : v) put(x);
+    } else if constexpr (detail::is_pair<T>) {
+      put(v.first);
+      put(v.second);
+    } else if constexpr (std::is_same_v<T, std::vector<std::uint8_t>>) {
+      e_.blob(v);
+    } else if constexpr (detail::is_vector<T>) {
+      e_.u64(v.size());
+      for (const auto& x : v) put(x);
+    } else {
+      // Field lists are written once for both directions, so they take a
+      // mutable record; writing only reads it.
+      detail::run_fields(*this, const_cast<T&>(v));
+    }
+  }
+
+  Encoder e_;
+};
+
+/// Bytes a default-constructed T encodes to (at least 1): the least any T
+/// can take on the wire, so a vector count is checked against the bytes left
+/// before the vector is sized.
+template <class T>
+std::size_t min_encoded_size() {
+  static const std::size_t n = [] {
+    Writer w;
+    w(T{});
+    return std::max<std::size_t>(1, w.bytes().size());
+  }();
+  return n;
+}
+
+/// Runs a field list backwards over a payload. The first failure (short
+/// payload, count larger than the bytes left, value out of range) latches,
+/// every later read is skipped, and the caller checks done() once.
+class Reader {
+ public:
+  explicit Reader(const std::vector<std::uint8_t>& b) : d_(b) {}
+
+  template <class... T>
+  void operator()(T&... v) {
+    (get(v), ...);
+  }
+  bool ok() const { return d_.ok(); }
+  /// ok() and the payload consumed exactly.
+  bool done() const { return d_.done(); }
+
+ private:
+  template <class T>
+  void get(T& v) {
+    if (!d_.ok()) return;
+    if constexpr (std::is_same_v<T, bool>) {
+      std::uint8_t b = 0;
+      if (d_.u8(b) && b > 1) d_.fail();
+      v = b != 0;
+    } else if constexpr (std::is_enum_v<T>) {
+      std::underlying_type_t<T> u{};
+      get(u);
+      v = static_cast<T>(u);
+    } else if constexpr (std::is_integral_v<T> && std::is_signed_v<T>) {
+      std::int64_t x = 0;
+      if (d_.i64(x) && !std::in_range<T>(x)) d_.fail();
+      v = static_cast<T>(x);
+    } else if constexpr (std::is_integral_v<T>) {
+      std::uint64_t x = 0;
+      if (d_.u64(x) && !std::in_range<T>(x)) d_.fail();
+      v = static_cast<T>(x);
+    } else if constexpr (std::is_same_v<T, double>) {
+      d_.f64(v);
+    } else if constexpr (detail::is_array<T>) {
+      for (auto& x : v) get(x);
+    } else if constexpr (detail::is_pair<T>) {
+      get(v.first);
+      get(v.second);
+    } else if constexpr (std::is_same_v<T, std::vector<std::uint8_t>>) {
+      d_.blob(v);
+    } else if constexpr (detail::is_vector<T>) {
+      std::uint64_t n = 0;
+      if (!d_.count(n, min_encoded_size<typename T::value_type>())) return;
+      v.assign(static_cast<std::size_t>(n), typename T::value_type{});
+      for (auto& x : v) get(x);
+    } else {
+      detail::run_fields(*this, v);
+    }
+  }
+
+  Decoder d_;
+};
+
+/// One record's encoded bytes.
+template <class T>
+std::vector<std::uint8_t> encode(const T& record) {
+  Writer w;
+  w(record);
+  return w.take();
+}
+
+/// Decodes `bytes` into `record`; true only when the bytes were exactly one
+/// valid record. On false, `record` may be partly written.
+template <class T>
+bool decode(const std::vector<std::uint8_t>& bytes, T& record) {
+  Reader r(bytes);
+  r(record);
+  return r.done();
+}
 
 // --- fd I/O ----------------------------------------------------------------
 

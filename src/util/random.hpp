@@ -93,4 +93,10 @@ class Rng {
   double cached_normal_ = 0.0;
 };
 
+/// Wire field list (rts/wire.hpp).
+template <class Ar>
+void fields(Ar& ar, Rng::State& st) {
+  ar(st.s, st.seed, st.has_cached_normal, st.cached_normal);
+}
+
 }  // namespace scalemd

@@ -75,6 +75,12 @@ inline Vec3 rotate(const Vec3& v, const Vec3& axis, double angle) {
   return v * c + cross(axis, v) * s + axis * (dot(axis, v) * (1.0 - c));
 }
 
+/// Wire field list (rts/wire.hpp).
+template <class Ar>
+void fields(Ar& ar, Vec3& v) {
+  ar(v.x, v.y, v.z);
+}
+
 inline std::ostream& operator<<(std::ostream& os, const Vec3& v) {
   return os << '(' << v.x << ", " << v.y << ", " << v.z << ')';
 }

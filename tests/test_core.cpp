@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstring>
 #include <iomanip>
+#include <random>
 #include <string>
 
 #include "core/compute_plan.hpp"
@@ -420,6 +421,174 @@ TEST(ParallelConfigTest, SimAccessorThrowsOffTheSimulatedBackend) {
   opts.backend = BackendKind::kSimulated;
   ParallelSim des(wl, opts);
   EXPECT_EQ(&des.sim(), &des.backend());
+}
+
+// run_cycle's step count is checked in every build (the unit label is built
+// with -DNDEBUG): -1 would write one past the step counters, and 0 would run
+// a lone half-kick force round that breaks the velocity-Verlet pairing.
+TEST(ParallelConfigTest, RunCycleRejectsFewerThanOneStep) {
+  Molecule mol = make_water_box({16, 16, 16}, 5);
+  NonbondedOptions nb;
+  nb.cutoff = 6.5;
+  nb.switch_dist = 5.5;
+  const Workload wl(mol, MachineModel::asci_red(), nb);
+  ParallelOptions opts;
+  opts.num_pes = 2;
+  opts.numeric = true;
+  ParallelSim sim(wl, opts);
+  EXPECT_THROW(sim.run_cycle(0), ParallelConfigError);
+  EXPECT_THROW(sim.run_cycle(-1), ParallelConfigError);
+  EXPECT_EQ(sim.total_steps(), 0);
+  EXPECT_TRUE(sim.step_completion().empty());
+  sim.run_cycle(1);
+  EXPECT_EQ(sim.total_steps(), 1);
+  EXPECT_TRUE(sim.last_cycle_complete());
+}
+
+// --- sim state export / import ---------------------------------------------
+
+Molecule state_box(double edge) {
+  Molecule mol = make_water_box({edge, edge, edge}, 5);
+  mol.assign_velocities(300.0, 3);
+  mol.suggested_patch_size = 8.0;
+  return mol;
+}
+
+NonbondedOptions state_nb() {
+  NonbondedOptions nb;
+  nb.cutoff = 6.5;
+  nb.switch_dist = 5.5;
+  return nb;
+}
+
+ParallelOptions state_opts(int pes, bool numeric) {
+  ParallelOptions o;
+  o.num_pes = pes;
+  o.numeric = numeric;
+  return o;
+}
+
+bool same_bits(const std::vector<Vec3>& a, const std::vector<Vec3>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(Vec3)) == 0;
+}
+
+// Frozen mode keeps atom ids but no per-atom vectors. The blob used to be
+// written with none and read back with one position per atom, so every
+// frozen import aborted.
+TEST(SimStateTest, FrozenExportImportsAndResumesIdentically) {
+  const Molecule mol = state_box(16.0);
+  const Workload wl(mol, MachineModel::asci_red(), state_nb());
+  const ParallelOptions o = state_opts(4, /*numeric=*/false);
+  ParallelSim a(wl, o);
+  const std::vector<std::uint8_t> blob = a.export_state();
+  ParallelSim b(wl, o);
+  b.import_state(blob);
+  EXPECT_EQ(b.export_state(), blob);
+  a.run_cycle(3);
+  b.run_cycle(3);
+  EXPECT_EQ(b.step_completion(), a.step_completion());
+  EXPECT_EQ(b.reduction_results(), a.reduction_results());
+
+  // Mid-run, after load balancing moved computes: the imported sim adopts
+  // the placement and the history, and re-exports the same bytes.
+  a.load_balance();
+  const std::vector<std::uint8_t> mid = a.export_state();
+  ParallelSim c(wl, o);
+  c.import_state(mid);
+  EXPECT_EQ(c.export_state(), mid);
+  EXPECT_EQ(c.compute_pe(), a.compute_pe());
+  EXPECT_EQ(c.step_completion(), a.step_completion());
+  EXPECT_EQ(c.total_steps(), a.total_steps());
+}
+
+// Truncations and random bit flips of a numeric blob either throw
+// StateError or import a state the strict decode accepted — which is then
+// held losslessly: it re-exports to exactly the bytes imported. Never an
+// abort (the sanitizer jobs check for UB).
+TEST(SimStateTest, TruncatedAndFlippedBlobsThrowOrImportExactly) {
+  const Molecule mol = state_box(16.0);
+  const Workload wl(mol, MachineModel::asci_red(), state_nb());
+  const ParallelOptions o = state_opts(4, /*numeric=*/true);
+  ParallelSim a(wl, o);
+  a.run_cycle(2);
+  const std::vector<std::uint8_t> blob = a.export_state();
+  ParallelSim b(wl, o);
+  std::mt19937_64 rng(17);
+  for (int i = 0; i < 64; ++i) {
+    const std::vector<std::uint8_t> cut(
+        blob.begin(), blob.begin() + static_cast<std::ptrdiff_t>(rng() % blob.size()));
+    EXPECT_THROW(b.import_state(cut), StateError) << cut.size() << " bytes";
+  }
+  int thrown = 0;
+  int imported = 0;
+  for (int i = 0; i < 400; ++i) {
+    std::vector<std::uint8_t> bad = blob;
+    bad[rng() % bad.size()] ^= static_cast<std::uint8_t>(1u << (rng() % 8));
+    try {
+      b.import_state(bad);
+      ++imported;
+      EXPECT_EQ(b.export_state(), bad);
+    } catch (const StateError&) {
+      ++thrown;
+    }
+  }
+  EXPECT_GT(thrown, 0);
+  EXPECT_GT(imported, 0);
+}
+
+// A blob that does not fit — from a machine with more PEs, from another
+// molecule, or cut short — throws StateError and changes nothing: the sim
+// then runs on bitwise equal to an untouched twin.
+TEST(SimStateTest, MismatchedOrBadBlobThrowsAndLeavesTheSimUntouched) {
+  const Molecule mol = state_box(16.0);
+  const Molecule other = state_box(20.0);
+  const Workload wl(mol, MachineModel::asci_red(), state_nb());
+  const Workload other_wl(other, MachineModel::asci_red(), state_nb());
+  const ParallelOptions o = state_opts(2, /*numeric=*/true);
+  ParallelSim sim(wl, o);
+  ParallelSim twin(wl, o);
+  sim.run_cycle(2);
+  twin.run_cycle(2);
+
+  ParallelSim wider(wl, state_opts(4, /*numeric=*/true));
+  ParallelSim elsewhere(other_wl, o);
+  const std::vector<std::uint8_t> own = sim.export_state();
+  // The state starts with its patch list: the patch count, then the first
+  // patch's atom count and atom ids (8 bytes each). Giving its first atom
+  // the second one's id leaves an atom in no patch and one in two.
+  std::vector<std::uint8_t> twice = own;
+  std::copy(own.begin() + 24, own.begin() + 32, twice.begin() + 16);
+  const std::vector<std::vector<std::uint8_t>> bad = {
+      wider.export_state(),
+      elsewhere.export_state(),
+      twice,
+      std::vector<std::uint8_t>(own.begin(), own.end() - 1),
+      {},
+  };
+  for (const std::vector<std::uint8_t>& blob : bad) {
+    EXPECT_THROW(sim.import_state(blob), StateError) << blob.size() << " bytes";
+  }
+  try {
+    sim.import_state(wider.export_state());
+  } catch (const StateError& e) {
+    EXPECT_NE(std::string(e.what()).find("PE"), std::string::npos) << e.what();
+  }
+
+  sim.run_cycle(2);
+  twin.run_cycle(2);
+  EXPECT_TRUE(same_bits(sim.gather_positions(), twin.gather_positions()));
+  EXPECT_TRUE(same_bits(sim.gather_velocities(), twin.gather_velocities()));
+  EXPECT_TRUE(same_bits(sim.gather_forces(), twin.gather_forces()));
+  EXPECT_EQ(sim.step_completion(), twin.step_completion());
+  EXPECT_EQ(sim.compute_pe(), twin.compute_pe());
+  ASSERT_EQ(sim.total_steps(), twin.total_steps());
+  for (int s = 0; s <= sim.total_steps(); ++s) {
+    const EnergyTerms got = sim.potential_terms_at_step(s);
+    const EnergyTerms want = twin.potential_terms_at_step(s);
+    EXPECT_EQ(std::memcmp(&got, &want, sizeof got), 0) << "step " << s;
+  }
+  EXPECT_EQ(sim.export_state(), twin.export_state());
 }
 
 TEST(ComputePlanTest, SplittingReducesMaxGrainEstimate) {

@@ -128,7 +128,9 @@ TEST(ProcessBackend, CrossWorkerSendSerializesThroughDecoder) {
   // The decoder rebuilds the closure from the wire payload at the receiving
   // worker; the payload carries how much to add.
   b.register_decoder(ping, [](const WirePayload& w) -> TaskFn {
-    const std::int64_t amount = w.ints.empty() ? 0 : w.ints[0];
+    std::int64_t amount = 0;
+    wire::Reader r(w);
+    r(amount);
     return [amount](ExecContext& c) {
       g_hits[static_cast<std::size_t>(c.pe())] +=
           static_cast<std::uint64_t>(amount);
@@ -141,8 +143,9 @@ TEST(ProcessBackend, CrossWorkerSendSerializesThroughDecoder) {
     TaskMsg m;
     m.entry = ping;
     m.bytes = 8;
-    m.has_wire = true;
-    m.wire.ints = {42};
+    wire::Writer w;
+    w(std::int64_t{42});
+    m.wire = w.take();
     c.send(1, std::move(m));  // pe 1 lives in the other worker
   };
   b.inject(0, std::move(boot));

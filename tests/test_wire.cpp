@@ -1,17 +1,20 @@
 // Wire-layer tests: round-trip properties over randomized payloads,
 // truncation at every prefix, a byte-flip mutation fuzz (named errors,
-// never UB — run under ASan/UBSan in CI), version skew, and the
-// bounds-checked payload Decoder.
+// never UB — run under ASan/UBSan in CI), version skew, the
+// bounds-checked payload Decoder, and the field-list Writer/Reader codec.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <array>
 #include <cmath>
 #include <cstring>
 #include <limits>
 #include <random>
+#include <utility>
 #include <vector>
 
 #include "rts/wire.hpp"
+#include "util/vec3.hpp"
 
 namespace scalemd {
 namespace {
@@ -301,6 +304,143 @@ TEST(Wire, FdRoundTripThroughPipe) {
   EXPECT_EQ(got, payload);
   close(fds[0]);
   close(fds[1]);
+}
+
+
+// --- field-list codec ------------------------------------------------------
+
+enum class Color : std::uint8_t { kRed = 1, kBlue = 7 };
+
+/// A record with a member field list covering every value kind the codec
+/// knows, nested vectors and a nested record (Vec3, free field list).
+struct Sample {
+  bool flag = false;
+  int small = 0;
+  std::int64_t wide = 0;
+  std::uint64_t big = 0;
+  Color color = Color::kRed;
+  double nan = 0.0, neg_zero = 0.0;
+  std::pair<int, double> pair{};
+  std::array<std::int64_t, 3> arr{};
+  std::uint64_t c_arr[2] = {0, 0};
+  std::vector<std::uint8_t> bytes;
+  std::vector<std::vector<int>> nested;
+  std::vector<std::pair<int, std::vector<double>>> rows;
+  std::vector<Vec3> points;
+
+  template <class Ar>
+  void fields(Ar& ar) {
+    ar(flag, small, wide, big, color, nan, neg_zero, pair, arr, c_arr, bytes, nested,
+       rows, points);
+  }
+};
+
+Sample filled_sample() {
+  Sample s;
+  s.flag = true;
+  s.small = -42;
+  s.wide = std::numeric_limits<std::int64_t>::min();
+  s.big = ~0ull;
+  s.color = Color::kBlue;
+  s.nan = std::numeric_limits<double>::quiet_NaN();
+  s.neg_zero = -0.0;
+  s.pair = {-3, 2.5};
+  s.arr = {1, -2, 3};
+  s.c_arr[0] = 0xDEADBEEFull;
+  s.c_arr[1] = 5;
+  s.bytes = {0, 255, 7};
+  s.nested = {{}, {1, 2, 3}, {-4}};
+  s.rows = {{0, {1.0, 2.0}}, {9, {}}};
+  s.points = {{1.0, -2.0, 3.5}, {0.0, 1e-300, -1e300}};
+  return s;
+}
+
+std::uint64_t bits(double x) {
+  std::uint64_t b;
+  std::memcpy(&b, &x, sizeof b);
+  return b;
+}
+
+TEST(WireCodec, WriterReaderRoundTripEveryValueKind) {
+  const Sample want = filled_sample();
+  const std::vector<std::uint8_t> bytes = wire::encode(want);
+  Sample got;
+  ASSERT_TRUE(wire::decode(bytes, got));
+  EXPECT_EQ(got.flag, want.flag);
+  EXPECT_EQ(got.small, want.small);
+  EXPECT_EQ(got.wide, want.wide);
+  EXPECT_EQ(got.big, want.big);
+  EXPECT_EQ(got.color, want.color);
+  // Doubles travel as raw bits: the NaN payload and the sign of zero survive.
+  EXPECT_EQ(bits(got.nan), bits(want.nan));
+  EXPECT_EQ(bits(got.neg_zero), bits(want.neg_zero));
+  EXPECT_EQ(got.pair, want.pair);
+  EXPECT_EQ(got.arr, want.arr);
+  EXPECT_EQ(got.c_arr[0], want.c_arr[0]);
+  EXPECT_EQ(got.c_arr[1], want.c_arr[1]);
+  EXPECT_EQ(got.bytes, want.bytes);
+  EXPECT_EQ(got.nested, want.nested);
+  EXPECT_EQ(got.rows, want.rows);
+  EXPECT_EQ(got.points, want.points);
+  // Encoding is a pure function of the record.
+  EXPECT_EQ(wire::encode(got), bytes);
+}
+
+TEST(WireCodec, EveryTruncationPrefixFailsDone) {
+  const std::vector<std::uint8_t> bytes = wire::encode(filled_sample());
+  for (std::size_t n = 0; n < bytes.size(); ++n) {
+    const std::vector<std::uint8_t> prefix(bytes.begin(),
+                                           bytes.begin() + static_cast<std::ptrdiff_t>(n));
+    Sample got;
+    EXPECT_FALSE(wire::decode(prefix, got)) << "prefix of " << n << " bytes";
+  }
+  // One extra byte is trailing garbage, not a record.
+  std::vector<std::uint8_t> longer = bytes;
+  longer.push_back(0);
+  Sample got;
+  EXPECT_FALSE(wire::decode(longer, got));
+}
+
+TEST(WireCodec, CorruptCountFailsBeforeAnyAllocation) {
+  // Counts beyond the bytes left: absurd, and merely too large for the
+  // elements' smallest encoding (a Vec3 takes 24 bytes, so 3 bytes per
+  // claimed element is not enough).
+  for (const std::uint64_t count : {1ull << 60, 2ull}) {
+    Encoder e;
+    e.u64(count);
+    for (int i = 0; i < 6; ++i) e.u8(0);
+    std::vector<Vec3> v;
+    EXPECT_FALSE(wire::decode(e.bytes(), v)) << count;
+    EXPECT_EQ(v.capacity(), 0u) << count;
+  }
+  // Same for a vector of records and a byte vector.
+  Encoder e;
+  e.u64(1ull << 62);
+  std::vector<std::vector<int>> nested;
+  EXPECT_FALSE(wire::decode(e.bytes(), nested));
+  EXPECT_EQ(nested.capacity(), 0u);
+  std::vector<std::uint8_t> blob;
+  EXPECT_FALSE(wire::decode(e.bytes(), blob));
+  EXPECT_EQ(blob.capacity(), 0u);
+}
+
+TEST(WireCodec, OutOfRangeValuesFailAndLatch) {
+  // An int field rejects a 64-bit value it cannot hold, a bool a byte other
+  // than 0/1; the failure latches, so the reads after it are skipped.
+  Encoder e;
+  e.i64(std::int64_t{1} << 40);
+  e.i64(5);
+  wire::Reader r(e.bytes());
+  int narrow = 0;
+  std::int64_t next = 0;
+  r(narrow, next);
+  EXPECT_FALSE(r.ok());
+  EXPECT_EQ(next, 0);
+
+  Encoder eb;
+  eb.u8(2);
+  bool flag = false;
+  EXPECT_FALSE(wire::decode(eb.bytes(), flag));
 }
 
 }  // namespace

@@ -23,6 +23,7 @@
 #include "rts/threaded_backend.hpp"
 #include "rts/wire.hpp"
 #include "seq/integrator.hpp"
+#include "util/fixed_point.hpp"
 #include "util/units.hpp"
 
 namespace scalemd {
@@ -39,14 +40,9 @@ struct ParallelSim::PatchRt {
   int step = 0;               ///< next advance index within the cycle
   int contrib_expected = 0;   ///< PEs (incl. home) that send force contributions
   int contrib_received = 0;
-  /// Proxy ids in the order their contributions arrived this round. Only
-  /// recorded under the injected arrival-order defect (see ParallelOptions::
-  /// debug_fold_arrival_order); empty otherwise.
-  std::vector<int> arrival;
-  /// Full-electrostatics runs: per-slab PME force shares for the current
-  /// force round, assigned whole by on_pme_force and folded after the
-  /// compute contributions in slab order.
-  std::vector<std::vector<Vec3>> pme_frc;
+  /// Numeric mode: this force round's sum of every proxy accumulator and
+  /// PME share, in fixed point; advance() converts it to frc once.
+  std::vector<FixedVec3> acc;
 
   int natoms() const { return static_cast<int>(atoms.size()); }
 
@@ -59,18 +55,18 @@ struct ParallelSim::PatchRt {
 };
 
 /// Proxy-patch state for one (patch, pe): the compute objects on that PE
-/// that read the patch, plus one private force buffer (scratch slot) per
-/// compute. The home patch folds every slot of every proxy in global
-/// compute-id order (patch_contribs_) once all contributions are in, so
-/// the sum is independent of the order the computes actually executed in —
-/// message faults, retries, placement changes and real thread timing
-/// reorder execution but not the physics.
+/// that read the patch, plus one fixed-point force accumulator they all add
+/// into. The proxy ships it home as one contribution per force round.
+/// Fixed-point addition is exact, so neither the order the computes ran in
+/// nor the order the proxies arrive in can change a bit: message faults,
+/// retries, placement changes and real thread timing reorder execution but
+/// not the physics.
 struct ParallelSim::ProxyRt {
   int patch = 0;
   int pe = 0;
   std::vector<int> computes;
   int pending = 0;  ///< computes not yet finished this step
-  std::vector<std::vector<Vec3>> scratch;  ///< per-compute, parallel to `computes`
+  std::vector<FixedVec3> acc;  ///< numeric mode: this round's forces on the patch
 };
 
 /// Per-compute runtime state.
@@ -156,15 +152,15 @@ struct PatchRound {
   }
 };
 
-/// One proxy's force scratch slots (in slot order), back to the patch home.
-struct ProxySlots {
+/// One proxy's force accumulator, back to the patch home.
+struct ProxyForces {
   int patch = 0;
   int proxy = 0;
-  std::vector<std::vector<Vec3>> slots;
+  std::vector<FixedVec3> acc;
 
   template <class Ar>
   void fields(Ar& ar) {
-    ar(patch, proxy, slots);
+    ar(patch, proxy, acc);
   }
 };
 
@@ -480,7 +476,6 @@ void ParallelSim::rebuild_dataflow() {
     computes_[i].deps_pending = static_cast<int>(computes_[i].deps.size());
   }
 
-  patch_contribs_.assign(patches_.size(), {});
   // Tile slices follow the (possibly migrated) patch sizes.
   std::size_t tile_rows = 0;
   for (std::size_t p = 0; p < tile_off_.size(); ++p) {
@@ -497,23 +492,11 @@ void ParallelSim::rebuild_dataflow() {
     }
     patches_[p].contrib_received = 0;
     if (opts_.numeric) {
-      // Canonical fold order for the patch's force: every contributing
-      // (proxy, slot) pair sorted by compute id. Within one proxy the
-      // slots are already ascending (computes registered in id order), so
-      // sorting by the slot's compute id gives one global order that no
-      // placement or schedule can change.
-      std::vector<std::pair<int, std::pair<int, int>>> order;
+      const std::size_t n = patches_[p].atoms.size();
+      patches_[p].acc.assign(n, FixedVec3{});
       for (int id : patch_proxy_ids_[p]) {
-        ProxyRt& proxy = proxies_[static_cast<std::size_t>(id)];
-        proxy.scratch.assign(proxy.computes.size(),
-                             std::vector<Vec3>(patches_[p].atoms.size()));
-        for (std::size_t k = 0; k < proxy.computes.size(); ++k) {
-          order.push_back({proxy.computes[k], {id, static_cast<int>(k)}});
-        }
+        proxies_[static_cast<std::size_t>(id)].acc.assign(n, FixedVec3{});
       }
-      std::sort(order.begin(), order.end());
-      patch_contribs_[p].reserve(order.size());
-      for (const auto& o : order) patch_contribs_[p].push_back(o.second);
     }
   }
 }
@@ -604,9 +587,7 @@ void ParallelSim::publish_coords(ExecContext& ctx, int patch) {
 void ParallelSim::on_recv_coords(ExecContext& ctx, int patch, int pe) {
   ProxyRt& proxy = proxies_[static_cast<std::size_t>(proxy_index(patch, pe))];
   proxy.pending = static_cast<int>(proxy.computes.size());
-  if (opts_.numeric) {
-    for (auto& s : proxy.scratch) std::fill(s.begin(), s.end(), Vec3{});
-  }
+  if (opts_.numeric) std::fill(proxy.acc.begin(), proxy.acc.end(), FixedVec3{});
   for (int c : proxy.computes) {
     if (--computes_[static_cast<std::size_t>(c)].deps_pending == 0) {
       computes_[static_cast<std::size_t>(c)].deps_pending =
@@ -633,25 +614,35 @@ void ParallelSim::run_compute(ExecContext& ctx, int compute) {
   if (opts_.numeric) {
     const int step_global = step_base_ + patches_[static_cast<std::size_t>(
                                              desc.patches[0])].step;
-    // Each dependency patch with this compute's private force buffer for it
-    // (its slot in the proxy's scratch); accumulation into the shared buffer
-    // happens in canonical slot order at complete_patch_on_pe.
+    // The compute evaluates into the PE's zeroed double scratch, one buffer
+    // per dependency patch, and adds the result to that patch's proxy
+    // accumulator in fixed point.
     PeScratch& scratch = pe_scratch_[static_cast<std::size_t>(pe)];
     scratch.patches.clear();
-    for (int patch : rt.deps) {
-      ProxyRt& proxy = proxies_[static_cast<std::size_t>(proxy_index(patch, pe))];
-      const auto k = static_cast<std::size_t>(
-          std::find(proxy.computes.begin(), proxy.computes.end(), compute) -
-          proxy.computes.begin());
-      assert(k < proxy.computes.size() && "compute not registered on its proxy");
+    if (scratch.frc.size() < rt.deps.size()) scratch.frc.resize(rt.deps.size());
+    for (std::size_t k = 0; k < rt.deps.size(); ++k) {
+      const int patch = rt.deps[k];
       const PatchRt& pr = patches_[static_cast<std::size_t>(patch)];
-      scratch.patches.push_back(
-          {patch, pr.atoms, pr.pos, tile_of(patch), proxy.scratch[k]});
+      scratch.frc[k].assign(pr.atoms.size(), Vec3{});
+      scratch.patches.push_back({patch, pr.atoms, pr.pos, tile_of(patch), scratch.frc[k]});
     }
     WorkCounters w;
     const EnergyTerms e = evaluate_compute(desc, *mol_, *nb_ctx_, atom_loc_,
                                            scratch.patches, w, scratch.tile);
     rt.work = w;
+    for (std::size_t k = 0; k < rt.deps.size(); ++k) {
+      const int patch = rt.deps[k];
+      if (fold_arrival()) {
+        // INJECTED DEFECT (ParallelOptions::debug_fold_arrival_order): a
+        // double sum in execution order, which rounds by schedule. The
+        // scenario fuzzer's self-test must detect and shrink this.
+        std::vector<Vec3>& frc = patches_[static_cast<std::size_t>(patch)].frc;
+        for (std::size_t i = 0; i < frc.size(); ++i) frc[i] += scratch.frc[k][i];
+      } else if (!add_fixed(proxies_[static_cast<std::size_t>(proxy_index(patch, pe))].acc,
+                            scratch.frc[k])) {
+        scratch.force_range_error = true;
+      }
+    }
     // Potential energy goes into this compute's private (compute, step)
     // slot by assignment — no shared accumulator to race on or to
     // double-count under fault replay. attempt_cycle folds the slots in
@@ -678,11 +669,10 @@ void ParallelSim::run_compute(ExecContext& ctx, int compute) {
 }
 
 void ParallelSim::complete_patch_on_pe(ExecContext& ctx, int patch, int pe) {
-  // All of this PE's computes reading `patch` are done; their scratch
-  // slots stay put (advance() folds every slot of every proxy in global
-  // compute-id order) and the home patch just gets the completion signal.
-  // Under the threaded backend the mailbox handoff of that signal is also
-  // what makes the slot writes visible to the home PE's worker.
+  // All of this PE's computes reading `patch` are done: the home patch adds
+  // the proxy's accumulator when this signal arrives. Under the threaded
+  // backend the mailbox handoff of the signal is also what makes the
+  // accumulator's writes visible to the home PE's worker.
   const int home = patch_home_[static_cast<std::size_t>(patch)];
   const int pxy = proxy_index(patch, pe);
   if (pe == home) {
@@ -696,11 +686,10 @@ void ParallelSim::complete_patch_on_pe(ExecContext& ctx, int patch, int pe) {
   msg.priority = -2;
   msg.bytes = bytes;
   // Crossing a worker boundary: the home process cannot read this worker's
-  // scratch slots, so ship every slot of this proxy (advance() still folds
-  // them in canonical compute-id order).
+  // accumulator, so ship it.
   if (proc_ != nullptr && proc_->owner_of(pe) != proc_->owner_of(home)) {
-    msg.wire = wire::encode(
-        ProxySlots{patch, pxy, proxies_[static_cast<std::size_t>(pxy)].scratch});
+    msg.wire =
+        wire::encode(ProxyForces{patch, pxy, proxies_[static_cast<std::size_t>(pxy)].acc});
   }
   msg.fn = [this, patch, pxy, bytes](ExecContext& c) {
     c.charge_pack(static_cast<double>(bytes) * c.machine().unpack_byte_cost);
@@ -712,11 +701,11 @@ void ParallelSim::complete_patch_on_pe(ExecContext& ctx, int patch, int pe) {
 }
 
 void ParallelSim::on_contribution(ExecContext& ctx, int patch, int from_proxy) {
+  // Runs on the home PE only, so the patch's sums need no lock.
   PatchRt& pr = patches_[static_cast<std::size_t>(patch)];
-  if (opts_.debug_fold_arrival_order && des_ != nullptr && from_proxy >= 0) {
-    // Injected-defect bookkeeping only; see advance(). on_contribution runs
-    // on the home PE exclusively, so this append is unsynchronized-safe.
-    pr.arrival.push_back(from_proxy);
+  if (opts_.numeric && from_proxy >= 0) {
+    const std::vector<FixedVec3>& src = proxies_[static_cast<std::size_t>(from_proxy)].acc;
+    for (std::size_t i = 0; i < src.size(); ++i) pr.acc[i] += src[i];
   }
   ++pr.contrib_received;
   if (pr.contrib_received < pr.contrib_expected) return;
@@ -740,43 +729,12 @@ void ParallelSim::advance(ExecContext& ctx, int patch) {
 
   const double dt = opts_.dt_fs / units::kAkmaTimeFs;
   double reduction_value = 1.0;
-  if (opts_.numeric) {
-    std::fill(pr.frc.begin(), pr.frc.end(), Vec3{});
-    const auto& contribs = patch_contribs_[static_cast<std::size_t>(patch)];
-    if (opts_.debug_fold_arrival_order && des_ != nullptr) {
-      // INJECTED DEFECT (ParallelOptions::debug_fold_arrival_order): fold in
-      // message-ARRIVAL order instead of canonical compute-id order, so the
-      // floating-point sum depends on the schedule. The scenario fuzzer's
-      // self-test must detect and shrink this.
-      for (const int arrived : pr.arrival) {
-        for (const auto& [proxy_id, slot] : contribs) {
-          if (proxy_id != arrived) continue;
-          const std::vector<Vec3>& src =
-              proxies_[static_cast<std::size_t>(proxy_id)]
-                  .scratch[static_cast<std::size_t>(slot)];
-          for (std::size_t i = 0; i < pr.frc.size(); ++i) pr.frc[i] += src[i];
-        }
-      }
-      pr.arrival.clear();
-    } else {
-      // Canonical force accumulation: sum every contributing scratch slot in
-      // global compute-id order (patch_contribs_), independent of message
-      // arrival order, execution order, object placement and backend.
-      for (const auto& [proxy_id, slot] : contribs) {
-        const std::vector<Vec3>& src =
-            proxies_[static_cast<std::size_t>(proxy_id)]
-                .scratch[static_cast<std::size_t>(slot)];
-        for (std::size_t i = 0; i < pr.frc.size(); ++i) pr.frc[i] += src[i];
-      }
-    }
-    if (pme_plan_ != nullptr) {
-      // PME slab force shares fold after the compute contributions, in slab
-      // order — part of the same canonical order as the compute-id fold
-      // above, so placement and schedule still cannot change a bit.
-      for (const std::vector<Vec3>& blk : pr.pme_frc) {
-        assert(blk.size() == pr.frc.size() && "missing PME force share");
-        for (std::size_t i = 0; i < pr.frc.size(); ++i) pr.frc[i] += blk[i];
-      }
+  if (opts_.numeric && !fold_arrival()) {
+    // Every contribution of the round is in: convert the exact sum once and
+    // rearm the accumulator for the next round.
+    for (std::size_t i = 0; i < pr.frc.size(); ++i) {
+      pr.frc[i] = pr.acc[i].to_vec3();
+      pr.acc[i] = FixedVec3{};
     }
   }
   if (opts_.numeric) {
@@ -792,6 +750,8 @@ void ParallelSim::advance(ExecContext& ctx, int patch) {
   if (s < cycle_target_) {
     if (opts_.numeric) {
       for (std::size_t i = 0; i < pr.pos.size(); ++i) pr.pos[i] += pr.vel[i] * dt;
+      // The injected defect sums the next round straight into frc.
+      if (fold_arrival()) std::fill(pr.frc.begin(), pr.frc.end(), Vec3{});
     }
     pr.step = s + 1;
     publish_coords(ctx, patch);
@@ -830,14 +790,14 @@ void ParallelSim::advance(ExecContext& ctx, int patch) {
 //       which inverse 2D-FFT, gather each atom's force share from their
 //       planes, add their (slab mod S)-strided share of the exclusion
 //       corrections and Ewald self energy, and
-//   slabs --forces--> patches   one force share per patch; the patch folds
-//       the S shares in slab order after the compute contributions.
+//   slabs --forces--> patches   one force share per patch; the patch adds
+//       it to its fixed-point accumulator like any proxy's.
 //
 // Determinism: every slab computes a pure function of the step's positions,
 // every transpose block covers a disjoint grid region (insertion order
-// cannot matter), and every fold is in a fixed order — so trajectories are
-// bitwise identical across PE counts, placements, LB strategies and
-// backends. The slab count partitions the sums, so S *is* part of the
+// cannot matter), energy partials fold in slab order and force shares add
+// exactly in fixed point — so trajectories are bitwise identical across PE
+// counts, placements, LB strategies and backends. The slab count partitions the sums, so S *is* part of the
 // numerics contract and stays fixed across the differential matrix.
 //
 // The pipeline is a per-step barrier both ways (all patches feed all slabs,
@@ -1081,10 +1041,9 @@ void ParallelSim::pme_gather_and_send(ExecContext& ctx, int slab) {
             proc_->owner_of(slab_pe_[static_cast<std::size_t>(slab)])) {
       msg.wire = wire::encode(PatchRound{patch, step, slab, frc});
     }
-    msg.fn = [this, patch, slab, bytes,
-              frc = std::move(frc)](ExecContext& c) mutable {
+    msg.fn = [this, patch, bytes, frc = std::move(frc)](ExecContext& c) {
       c.charge_pack(static_cast<double>(bytes) * c.machine().unpack_byte_cost);
-      on_pme_force(c, patch, slab, std::move(frc));
+      on_pme_force(c, patch, frc);
     };
     if (home != ctx.pe()) {
       ctx.charge_pack(static_cast<double>(bytes) * ctx.machine().pack_byte_cost);
@@ -1099,12 +1058,15 @@ void ParallelSim::pme_gather_and_send(ExecContext& ctx, int slab) {
   rt.recip_energy = 0.0;
 }
 
-void ParallelSim::on_pme_force(ExecContext& ctx, int patch, int slab,
-                               std::vector<Vec3> frc) {
+void ParallelSim::on_pme_force(ExecContext& ctx, int patch, const std::vector<Vec3>& frc) {
   if (opts_.numeric) {
     PatchRt& pr = patches_[static_cast<std::size_t>(patch)];
-    assert(frc.size() == pr.atoms.size());
-    pr.pme_frc[static_cast<std::size_t>(slab)] = std::move(frc);
+    if (fold_arrival()) {
+      // The injected defect (see run_compute).
+      for (std::size_t i = 0; i < frc.size(); ++i) pr.frc[i] += frc[i];
+    } else if (!add_fixed(pr.acc, frc)) {
+      pe_scratch_[static_cast<std::size_t>(ctx.pe())].force_range_error = true;
+    }
   }
   on_contribution(ctx, patch, -1);
 }
@@ -1155,11 +1117,7 @@ void ParallelSim::attempt_cycle(int steps) {
     PatchRt& pr = patches_[p];
     pr.step = 0;
     pr.contrib_received = 0;
-    pr.arrival.clear();
     if (opts_.numeric) std::fill(pr.frc.begin(), pr.frc.end(), Vec3{});
-    if (opts_.numeric && pme_plan_ != nullptr) {
-      pr.pme_frc.assign(pme_slabs_.size(), {});
-    }
     TaskMsg msg;
     msg.entry = e_advance_;
     msg.priority = -3;
@@ -1183,6 +1141,15 @@ void ParallelSim::attempt_cycle(int steps) {
   }
 
   if (opts_.numeric) {
+    // Tasks only record a force out of the fixed-point range; report it
+    // here, before migrate_atoms() bins the bad positions.
+    for (std::size_t pe = 0; pe < pe_scratch_.size(); ++pe) {
+      if (!pe_scratch_[pe].force_range_error) continue;
+      for (PeScratch& sc : pe_scratch_) sc.force_range_error = false;
+      throw ForceRangeError("force out of the fixed-point range (non-finite, or at least "
+                            "2^62 kcal/mol/A) on PE " + std::to_string(pe) +
+                            " in the cycle ending at step " + std::to_string(global_steps_));
+    }
     // Fold the per-(compute, step) potential slots in compute-id order.
     // Assignment (not +=) keeps a fault-replayed cycle idempotent.
     potential_per_step_.resize(static_cast<std::size_t>(step_base_ + steps + 1),
@@ -1243,12 +1210,16 @@ void ParallelSim::run_cycle(int steps) {
     // Work was lost (typically a PE failure mid-cycle). Restore the last
     // coordinated checkpoint, evacuate the dead PEs, and replay every cycle
     // recorded since the snapshot. A replayed cycle can itself be hit by a
-    // later scheduled failure, so loop — with a cap so a hostile plan (all
-    // PEs dying) terminates; an incomplete final cycle is then left for the
+    // later scheduled failure, so loop — with a cap so a hostile plan
+    // terminates, and not at all once every PE has died (nothing is left to
+    // evacuate onto); an incomplete final cycle is then left for the
     // invariant layer to flag.
     constexpr int kMaxRestarts = 8;
     int tries = 0;
-    while (!recovered() && tries < kMaxRestarts) {
+    const auto any_live_pe = [this] {
+      return exec_->failed_pes().size() < static_cast<std::size_t>(opts_.num_pes);
+    };
+    while (!recovered() && tries < kMaxRestarts && any_live_pe()) {
       ++tries;
       restore_checkpoint();
       for (int cycle_steps : cycles_since_ckpt_) {
@@ -1441,12 +1412,13 @@ void ParallelSim::apply_state(SimState s) {
   if (reliable_) reliable_->clear_pending();
 
   const std::vector<int> dead = exec_->failed_pes();
-  if (!dead.empty()) {
+  if (!dead.empty() && dead.size() < static_cast<std::size_t>(opts_.num_pes)) {
     evacuate_failed_pes(dead);
   } else {
     // No failure — the stall came from unrecovered message loss. Replaying
     // from the snapshot redraws the per-message fault decisions, so a
-    // retry has an independent chance of a clean pass.
+    // retry has an independent chance of a clean pass. (With every PE
+    // dead there is nothing to evacuate onto, and every cycle stalls.)
     rebuild_reducer();
     rebuild_dataflow();
   }
@@ -1483,10 +1455,12 @@ struct WorkerFlush {
   std::vector<std::pair<int, double>> progress;
   /// The cycle's reduction totals; only the tree root's worker has them.
   std::vector<double> reduction_totals;
+  /// This worker's PEs that saw a force out of the fixed-point range.
+  std::vector<int> force_range_pes;
 
   template <class Ar>
   void fields(Ar& ar) {
-    ar(patches, compute_rows, slab_rows, progress, reduction_totals);
+    ar(patches, compute_rows, slab_rows, progress, reduction_totals, force_range_pes);
   }
 };
 
@@ -1516,21 +1490,17 @@ void ParallelSim::setup_process_wire() {
     };
   });
 
-  // Force contributions arriving at the home worker: adopt every scratch
-  // slot of the contributing proxy, then signal the contribution.
+  // Force contributions arriving at the home worker: adopt the contributing
+  // proxy's accumulator, then signal the contribution.
   proc_->register_decoder(e_forces_, [this](const WirePayload& w) -> TaskFn {
-    ProxySlots rec = decode_record<ProxySlots>(w, "forces");
+    ProxyForces rec = decode_record<ProxyForces>(w, "forces");
     return [this, rec = std::move(rec)](ExecContext& c) mutable {
       wire_check(rec.proxy >= 0 && static_cast<std::size_t>(rec.proxy) < proxies_.size() &&
                 proxies_[static_cast<std::size_t>(rec.proxy)].patch == rec.patch,
             "forces proxy out of range");
       ProxyRt& proxy = proxies_[static_cast<std::size_t>(rec.proxy)];
-      wire_check(rec.slots.size() == proxy.scratch.size(), "forces payload size mismatch");
-      for (std::size_t k = 0; k < rec.slots.size(); ++k) {
-        wire_check(rec.slots[k].size() == proxy.scratch[k].size(),
-              "forces payload size mismatch");
-        proxy.scratch[k] = std::move(rec.slots[k]);
-      }
+      wire_check(rec.acc.size() == proxy.acc.size(), "forces payload size mismatch");
+      proxy.acc = std::move(rec.acc);
       c.charge_pack(
           static_cast<double>(msg_bytes(
               patches_[static_cast<std::size_t>(rec.patch)].pos.size(),
@@ -1603,7 +1573,7 @@ void ParallelSim::setup_process_wire() {
             c.charge_pack(
                 static_cast<double>(msg_bytes(rec.v.size(), opts_.bytes_per_atom_force)) *
                 c.machine().unpack_byte_cost);
-            on_pme_force(c, rec.patch, rec.slab, std::move(rec.v));
+            on_pme_force(c, rec.patch, rec.v);
           };
         });
   }
@@ -1650,6 +1620,11 @@ std::vector<std::uint8_t> ParallelSim::flush_worker_state(int worker) const {
          g < std::min(reduction_totals_.size(), static_cast<std::size_t>(step_base_) + row);
          ++g) {
       f.reduction_totals.push_back(reduction_totals_[g]);
+    }
+  }
+  for (std::size_t pe = 0; pe < pe_scratch_.size(); ++pe) {
+    if (mine(static_cast<int>(pe)) && pe_scratch_[pe].force_range_error) {
+      f.force_range_pes.push_back(static_cast<int>(pe));
     }
   }
   return wire::encode(f);
@@ -1702,6 +1677,10 @@ void ParallelSim::merge_worker_state(const std::vector<std::uint8_t>& blob) {
     if (reduction_totals_.size() < need) reduction_totals_.resize(need, 0.0);
     std::copy(f.reduction_totals.begin(), f.reduction_totals.end(),
               reduction_totals_.begin() + step_base_);
+  }
+  for (int pe : f.force_range_pes) {
+    wire_check(pe >= 0 && static_cast<std::size_t>(pe) < pe_scratch_.size(), "bad PE id");
+    pe_scratch_[static_cast<std::size_t>(pe)].force_range_error = true;
   }
 }
 

@@ -60,6 +60,16 @@ class StateError : public std::runtime_error {
   using std::runtime_error::runtime_error;
 };
 
+/// A force contribution the fixed-point accumulators cannot hold: not
+/// finite, or at least 2^62 kcal/mol/A in magnitude (util/fixed_point.hpp).
+/// Tasks never throw it; the PE records the failure, and run_cycle throws
+/// once the machine is quiet, before atom migration. The sim then holds that
+/// cycle's unmigrated end state.
+class ForceRangeError : public std::runtime_error {
+ public:
+  using std::runtime_error::runtime_error;
+};
+
 /// A workload bundles everything about the molecular system that is
 /// independent of the processor count: decomposition, compute plan and the
 /// measured per-object work. Build once, sweep ParallelSim over P.
@@ -149,14 +159,14 @@ struct ParallelOptions {
   int checkpoint_every = 0;
 
   // --- defect injection (fuzzer self-test only) ------------------------
-  /// HIDDEN: fold each patch's force contributions in message-ARRIVAL order
-  /// instead of canonical compute-id order (simulated backend only, where
-  /// arrival order is deterministic). This re-introduces — on purpose — the
-  /// exact ordering bug the canonical fold exists to prevent: trajectories
-  /// then depend on the message schedule, so the cross-backend and
-  /// chaos-equality oracles must flag it. `scalemd-fuzz --self-test` flips
-  /// this flag to prove the fuzzing harness still catches and shrinks it.
-  /// Never set it anywhere else.
+  /// HIDDEN: every compute and PME slab adds its double forces straight into
+  /// the home patch's force, in the order the tasks run (message-ARRIVAL
+  /// order; simulated backend only, where that order is deterministic),
+  /// instead of through the fixed-point accumulators. Double addition
+  /// rounds, so trajectories then depend on the message schedule, and the
+  /// cross-backend and chaos-equality oracles must flag it.
+  /// `scalemd-fuzz --self-test` flips this flag to prove the fuzzing harness
+  /// still catches and shrinks it. Never set it anywhere else.
   bool debug_fold_arrival_order = false;
 };
 
@@ -186,7 +196,8 @@ class ParallelSim {
 
   /// Runs one pipelined cycle of `steps` timesteps and quiesces. In numeric
   /// mode, atoms that left their patch cube migrate afterwards. Throws
-  /// ParallelConfigError when steps < 1.
+  /// ParallelConfigError when steps < 1, and ForceRangeError when a force
+  /// left the fixed-point range during the cycle.
   void run_cycle(int steps);
 
   /// Applies the configured strategy (greedy and/or refine) using loads
@@ -317,8 +328,9 @@ class ParallelSim {
   void on_recv_coords(ExecContext& ctx, int patch, int pe);
   void run_compute(ExecContext& ctx, int compute);
   void complete_patch_on_pe(ExecContext& ctx, int patch, int pe);
-  /// `from_proxy` is the contributing proxy's index (only consumed by the
-  /// injected arrival-order defect; -1 for contribution-less patches).
+  /// `from_proxy` is the contributing proxy's index, whose accumulator the
+  /// patch adds (-1: a PME share, already added, or a contribution-less
+  /// patch).
   void on_contribution(ExecContext& ctx, int patch, int from_proxy);
   void advance(ExecContext& ctx, int patch);
   void migrate_atoms();
@@ -350,9 +362,8 @@ class ParallelSim {
   void on_pme_bwd(ExecContext& ctx, int slab, int src,
                   const std::vector<double>& block);
   void pme_gather_and_send(ExecContext& ctx, int slab);
-  /// Patch-side: adopts one slab's force share; counts as a contribution.
-  void on_pme_force(ExecContext& ctx, int patch, int slab,
-                    std::vector<Vec3> frc);
+  /// Patch-side: adds one slab's force share; counts as a contribution.
+  void on_pme_force(ExecContext& ctx, int patch, const std::vector<Vec3>& frc);
   /// Modeled DES cost of one slab task phase (identical in numeric and
   /// frozen mode, so frozen-mode benchmarks price PME realistically).
   double pme_phase_cost(int slab, int phase) const;
@@ -363,6 +374,9 @@ class ParallelSim {
   }
   /// Applies the machine's multiplicative task-time noise to a cost.
   double noisy(double cost);
+  /// The injected arrival-order defect is armed (see
+  /// ParallelOptions::debug_fold_arrival_order).
+  bool fold_arrival() const { return opts_.debug_fold_arrival_order && des_ != nullptr; }
   /// Routes through the reliable layer when enabled, else a raw send.
   void rsend(ExecContext& ctx, int dest, TaskMsg msg);
   /// One quiesced cycle attempt (the pre-resilience run_cycle body).
@@ -386,7 +400,8 @@ class ParallelSim {
   std::vector<std::uint8_t> flush_worker_state(int worker) const;
   void merge_worker_state(const std::vector<std::uint8_t>& blob);
   /// Re-homes a failed PE's patches and computes onto survivors and
-  /// rebuilds the reducer and the dataflow. Records kEvacuation.
+  /// rebuilds the reducer and the dataflow. Records kEvacuation. Callers
+  /// make sure at least one PE survives.
   void evacuate_failed_pes(const std::vector<int>& dead);
   /// Load-balancer input for the migratable computes (measured loads,
   /// current PEs, patch dependencies); object_compute maps each object back
@@ -418,6 +433,12 @@ class ParallelSim {
   struct PeScratch {
     TileScratch tile;
     std::vector<ComputePatch> patches;  ///< the running compute's patches
+    /// The running compute's forces on each dependency patch, in double;
+    /// every compute on the PE reuses them.
+    std::vector<std::vector<Vec3>> frc;
+    /// A force on this PE left the fixed-point range this cycle (see
+    /// ForceRangeError).
+    bool force_range_error = false;
   };
   std::vector<PeScratch> pe_scratch_;
 
@@ -437,11 +458,6 @@ class ParallelSim {
   std::vector<PatchRt> patches_;
   std::vector<ProxyRt> proxies_;
   std::vector<std::vector<int>> patch_proxy_ids_;  // patch -> proxy indices
-  /// Per patch: every (proxy index, scratch slot) contributing a force
-  /// buffer, sorted by the contributing compute's global id. advance()
-  /// folds in this order, making the total force independent of placement,
-  /// execution order, backend and thread count.
-  std::vector<std::vector<std::pair<int, int>>> patch_contribs_;
   std::vector<ComputeRt> computes_;
   std::vector<int> patch_home_;
   std::vector<int> compute_pe_;

@@ -21,6 +21,9 @@ struct RunOutcome {
   std::vector<Vec3> velocities;
   double end_time = 0.0;
   bool complete = false;
+  /// A cycle threw ForceRangeError (an exploding system); the run stopped
+  /// there. Every leg of a scenario must agree on it.
+  bool force_range = false;
   ViolationLog physics;  ///< InvariantChecker findings
   ViolationLog machine;  ///< DesInvariantSink findings (DES runs only)
 };
@@ -66,11 +69,15 @@ RunOutcome run_scenario(const Workload& workload, const ScenarioSpec& spec,
   const bool des = opts.backend == BackendKind::kSimulated;
   if (des) sim.attach_sink(&machine_sink);
 
-  for (int c = 0; c < spec.cycles; ++c) {
+  for (int c = 0; c < spec.cycles && !out.force_range; ++c) {
     if (c > 0 && apply_lb && spec.lb != LbStrategyKind::kNone) {
       sim.load_balance();
     }
-    sim.run_cycle(spec.steps);
+    try {
+      sim.run_cycle(spec.steps);
+    } catch (const ForceRangeError&) {
+      out.force_range = true;
+    }
   }
 
   out.positions = sim.gather_positions();
@@ -84,6 +91,10 @@ RunOutcome run_scenario(const Workload& workload, const ScenarioSpec& spec,
 
 /// First bitwise difference between two state arrays, or "" when identical.
 std::string first_bitwise_diff(const RunOutcome& got, const RunOutcome& ref) {
+  if (got.force_range != ref.force_range) {
+    return std::string("ForceRangeError in ") + (got.force_range ? "this run" : "the reference") +
+           " only";
+  }
   if (got.positions.size() != ref.positions.size()) {
     return "atom count mismatch: " + std::to_string(got.positions.size()) +
            " vs " + std::to_string(ref.positions.size());
@@ -196,7 +207,7 @@ FuzzVerdict evaluate_scenario(const ScenarioSpec& spec) {
   }
 
   // --- B': same scenario on forked worker processes; must match A bitwise.
-  // State crosses the wire as raw IEEE bits and the canonical fold fixes the
+  // State crosses the wire as raw bits and fixed-point force sums ignore the
   // summation order, so out-of-process execution is held to the same standard
   // as in-process threads.
   if (spec.process_workers > 0) {
@@ -222,7 +233,7 @@ FuzzVerdict evaluate_scenario(const ScenarioSpec& spec) {
 
   // --- B'': alternate PME slab placement; must match A bitwise -----------
   // Dedicated ranks (or spreading slabs back out) only move slab objects
-  // between PEs; the reciprocal sums and the canonical fold are placement-
+  // between PEs; the reciprocal sums and the force accumulators are placement-
   // free, so flipping the policy must not move a single bit.
   if (spec.full_elec) {
     ParallelOptions placed_opts = base_parallel_options(spec);
@@ -272,6 +283,12 @@ FuzzVerdict evaluate_scenario(const ScenarioSpec& spec) {
     } else {
       // Evacuation re-homes objects, changing summation grouping: compare to
       // the same tolerance the chaos soak uses.
+      if (chaos.force_range != clean.force_range) {
+        verdict.ok = false;
+        verdict.oracle = "chaos-divergence";
+        verdict.detail = "[chaos vs clean] ForceRangeError in one run only";
+        return verdict;
+      }
       const double dp = max_rel_deviation(chaos.positions, clean.positions);
       const double dv = max_rel_deviation(chaos.velocities, clean.velocities);
       if (dp > 1e-9 || dv > 1e-9) {
@@ -331,7 +348,7 @@ FuzzVerdict evaluate_scenario(const ScenarioSpec& spec) {
     for (std::size_t k = 0; k < jobs.size(); ++k) {
       const JobResult& got = served.results[k];
       const std::string tag = "[serve " + jobs[k].name + "] ";
-      if (!got.complete) {
+      if (!got.complete && got.error.empty()) {
         verdict.ok = false;
         verdict.oracle = "serve-incomplete";
         verdict.detail = tag + "job did not run to completion";
@@ -340,8 +357,10 @@ FuzzVerdict evaluate_scenario(const ScenarioSpec& spec) {
       RunOutcome a, b;
       a.positions = got.positions;
       a.velocities = got.velocities;
+      a.force_range = !got.error.empty();
       b.positions = solo[k].positions;
       b.velocities = solo[k].velocities;
+      b.force_range = !solo[k].error.empty();
       const std::string diff = first_bitwise_diff(a, b);
       if (!diff.empty()) {
         verdict.ok = false;

@@ -32,7 +32,7 @@ struct FuzzVerdict {
 ///  A. clean run on the simulated (DES) backend, with the spec's LB strategy
 ///     applied between cycles, physics invariants and DES invariants armed;
 ///  B. the same scenario on the threaded backend — state must match A
-///     bitwise (the canonical fold makes trajectories backend-independent);
+///     bitwise (fixed-point force sums make trajectories backend-independent);
 ///  B'. (only when spec.process_workers > 0) the same scenario on the
 ///     forked-process backend — again bitwise against A;
 ///  C. (only when the spec schedules faults) a chaos run on the DES backend

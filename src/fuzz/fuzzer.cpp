@@ -124,9 +124,11 @@ FuzzReport run_fuzz(const FuzzOptions& opts) {
 }
 
 int run_self_test(std::uint64_t seed, int max_cases, std::string& message) {
-  // The defect makes clean-DES trajectories depend on message-arrival order,
-  // so the backend-divergence / chaos-divergence oracles must catch it in a
-  // small campaign. Repros stay in memory: the round-trip through
+  // The defect sums forces in double, in the order the DES runs the tasks,
+  // instead of through the fixed-point accumulators: clean-DES trajectories
+  // then round differently from the threaded ones and depend on
+  // message-arrival order, so the backend-divergence / chaos-divergence
+  // oracles must catch it in a small campaign. Repros stay in memory: the round-trip through
   // render_repro / replay_repro is itself part of what is being tested.
   FuzzOptions opts;
   opts.cases = max_cases;
@@ -136,7 +138,8 @@ int run_self_test(std::uint64_t seed, int max_cases, std::string& message) {
   const FuzzReport report = run_fuzz(opts);
 
   if (report.failures.empty()) {
-    message = "self-test FAILED: injected arrival-order defect survived " +
+    message = "self-test FAILED: injected arrival-order defect (double force sums "
+              "in execution order) survived " +
               std::to_string(report.cases_run) + " cases undetected";
     return 1;
   }

@@ -1,6 +1,8 @@
 #include "fuzz/scenario.hpp"
 
+#include <cmath>
 #include <cstdio>
+#include <limits>
 #include <sstream>
 
 #include "ff/nonbonded_tiled.hpp"
@@ -270,6 +272,12 @@ DirectiveStatus apply_scenario_directive(const std::string& raw_in,
   const auto want_count = [&](const char* what, int& value) {
     double v = 0.0;
     if (!want_number(what, v)) return false;
+    // Casting anything but a whole number in int range is undefined.
+    if (!(v == std::trunc(v) && v >= std::numeric_limits<int>::min() &&
+          v <= std::numeric_limits<int>::max())) {
+      return fail(std::string("'") + key + "' needs a whole-number " + what +
+                  " in int range");
+    }
     value = static_cast<int>(v);
     return true;
   };

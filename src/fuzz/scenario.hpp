@@ -76,8 +76,10 @@ struct ScenarioSpec {
   int pme_dedicated = 0;  ///< dedicated PME ranks (placement policy only)
 
   /// Arms ParallelOptions::debug_fold_arrival_order on every run of this
-  /// spec. Set only by --self-test (and recorded in its repro files so they
-  /// replay the defective build path byte-for-byte).
+  /// spec: DES forces are summed in double in task-execution order instead
+  /// of in fixed point. Set only by --self-test (and recorded in its repro
+  /// files as `defect arrival-order`, so they replay the defective build
+  /// path byte-for-byte).
   bool inject_defect = false;
 
   bool has_message_faults() const {

@@ -19,10 +19,13 @@ CellGrid::CellGrid(const Vec3& box, double min_cell) : box_(box) {
 }
 
 int CellGrid::cell_of(const Vec3& p) const {
-  const int ix = std::clamp(static_cast<int>(p.x * inv_cx_), 0, nx_ - 1);
-  const int iy = std::clamp(static_cast<int>(p.y * inv_cy_), 0, ny_ - 1);
-  const int iz = std::clamp(static_cast<int>(p.z * inv_cz_), 0, nz_ - 1);
-  return index({ix, iy, iz});
+  // Clamp in double before the cast: a coordinate far outside the box would
+  // not fit an int, and NaN (which fails every comparison) lands in cell 0.
+  const auto axis = [](double u, double inv, int n) {
+    const double c = u * inv;
+    return c >= 0.0 ? static_cast<int>(std::min(c, n - 1.0)) : 0;
+  };
+  return index({axis(p.x, inv_cx_, nx_), axis(p.y, inv_cy_, ny_), axis(p.z, inv_cz_, nz_)});
 }
 
 Int3 CellGrid::coords(int index) const {

@@ -29,7 +29,8 @@ class CellGrid {
   int cell_count() const { return nx_ * ny_ * nz_; }
 
   /// Linear index of the cell containing `p` (clamped into the grid, so
-  /// atoms that drift slightly outside the box remain owned by edge cells).
+  /// atoms that drift outside the box remain owned by edge cells; a NaN
+  /// coordinate counts as 0 on its axis).
   int cell_of(const Vec3& p) const;
 
   Int3 coords(int index) const;

@@ -225,7 +225,12 @@ ServeReport BatchScheduler::run() {
       for (int k = 0; k < opts_.slice_cycles && p.cycles_done < s.cycles;
            ++k) {
         if (p.lb_armed && s.lb != LbStrategyKind::kNone) p.sim->load_balance();
-        p.sim->run_cycle(s.steps);
+        try {
+          p.sim->run_cycle(s.steps);
+        } catch (const ForceRangeError& e) {
+          p.result.error = e.what();  // deterministic: the job ends here
+          break;
+        }
         p.lb_armed = true;
         ++p.cycles_done;
       }
@@ -235,8 +240,8 @@ ServeReport BatchScheduler::run() {
     for (int j : selected) {
       Pending& p = jobs_[static_cast<std::size_t>(j)];
       emit(JobEventKind::kSlice, j, round, p.cycles_done);
-      if (p.cycles_done >= p.spec.scenario.cycles) {
-        p.result.complete = p.sim->last_cycle_complete();
+      if (p.cycles_done >= p.spec.scenario.cycles || !p.result.error.empty()) {
+        p.result.complete = p.result.error.empty() && p.sim->last_cycle_complete();
         p.result.cycles = p.cycles_done;
         p.result.steps = p.cycles_done * p.spec.scenario.steps;
         p.result.positions = p.sim->gather_positions();
@@ -280,19 +285,23 @@ JobResult run_job_alone(const JobSpec& job, TopologyCache* cache) {
   ParallelOptions o = job_options(job.scenario);
   o.initial_patch_home = placement;
   ParallelSim sim(*entry->workload, o);
-  for (int cyc = 0; cyc < job.scenario.cycles; ++cyc) {
-    if (cyc > 0 && job.scenario.lb != LbStrategyKind::kNone) {
+  JobResult r;
+  for (; r.cycles < job.scenario.cycles; ++r.cycles) {
+    if (r.cycles > 0 && job.scenario.lb != LbStrategyKind::kNone) {
       sim.load_balance();
     }
-    sim.run_cycle(job.scenario.steps);
+    try {
+      sim.run_cycle(job.scenario.steps);
+    } catch (const ForceRangeError& e) {
+      r.error = e.what();
+      break;
+    }
   }
 
-  JobResult r;
   r.name = job.name;
   r.priority = job.priority;
-  r.complete = sim.last_cycle_complete();
-  r.cycles = job.scenario.cycles;
-  r.steps = job.scenario.cycles * job.scenario.steps;
+  r.complete = r.error.empty() && sim.last_cycle_complete();
+  r.steps = r.cycles * job.scenario.steps;
   r.cache_hit = hit;
   r.positions = sim.gather_positions();
   r.velocities = sim.gather_velocities();

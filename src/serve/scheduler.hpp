@@ -104,6 +104,9 @@ struct JobResult {
   /// (bitwise) against a solo run of the same JobSpec.
   std::vector<Vec3> positions;
   std::vector<Vec3> velocities;
+  /// Set when a cycle threw ForceRangeError: its message. The job stops
+  /// there, incomplete, with that cycle's end state above.
+  std::string error;
 };
 
 struct ServeReport {

@@ -445,6 +445,35 @@ TEST(ParallelConfigTest, RunCycleRejectsFewerThanOneStep) {
   EXPECT_TRUE(sim.last_cycle_complete());
 }
 
+// Every PE dying leaves nothing to evacuate onto. Recovery must stop and
+// report the cycle incomplete; release builds used to store PE -1 as a
+// patch home and overflow a heap buffer (the unit label builds -DNDEBUG).
+TEST(ParallelConfigTest, NoSurvivingPeLeavesTheCycleIncomplete) {
+  Molecule mol = make_water_box({16, 16, 16}, 5);
+  mol.suggested_patch_size = 8.0;
+  NonbondedOptions nb;
+  nb.cutoff = 6.5;
+  nb.switch_dist = 5.5;
+  const Workload wl(mol, MachineModel::asci_red(), nb);
+  ParallelOptions opts;
+  opts.num_pes = 2;
+  opts.numeric = true;
+  double cycle_time = 0.0;
+  {
+    ParallelSim clean(wl, opts);
+    clean.run_cycle(2);
+    cycle_time = clean.backend().time();
+  }
+  opts.checkpoint_every = 1;
+  opts.fault.failures = {{.pe = 0, .at_time = 0.5 * cycle_time},
+                         {.pe = 1, .at_time = 0.5 * cycle_time}};
+  ParallelSim sim(wl, opts);
+  sim.run_cycle(2);
+  EXPECT_FALSE(sim.last_cycle_complete());
+  EXPECT_EQ(sim.backend().failed_pes().size(), 2u);
+  EXPECT_EQ(sim.restarts(), 0);
+}
+
 // --- sim state export / import ---------------------------------------------
 
 Molecule state_box(double edge) {

@@ -194,8 +194,8 @@ INSTANTIATE_TEST_SUITE_P(AllKernelPathThreadCombos, GoldenRegressionTest,
 
 // ---------------------------------------------------------------------------
 // Parallel runtime vs the checked-in golden: both execution backends must
-// reproduce the scalar reference to tolerance. The runtime folds forces in
-// compute-id order (not the sequential engine's pair order), so the bitwise
+// reproduce the scalar reference to tolerance. The runtime sums forces in
+// fixed point (not in the sequential engine's pair order), so the bitwise
 // bound of the sequential matrix does not apply — only the relative one.
 // The golden's step-0 frame is dropped: the parallel recorder first observes
 // state after a cycle completes.

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -17,6 +18,7 @@
 #include "check/invariants.hpp"
 #include "core/parallel_sim.hpp"
 #include "fuzz/differential.hpp"
+#include "fuzz/scenario.hpp"
 #include "gen/water_box.hpp"
 #include "rts/process_backend.hpp"
 #include "rts/wire.hpp"
@@ -527,6 +529,63 @@ TEST(ProcessFuzzLeg, CleanSpecWithProcessWorkersPasses) {
   ASSERT_EQ(validate_scenario(spec), "");
   const FuzzVerdict v = evaluate_scenario(spec);
   EXPECT_TRUE(v.ok) << v.oracle << "\n" << v.detail;
+}
+
+// Case 195 of the seed-1 campaign, whose clashes push forces past 1e12
+// kcal/mol/A (FixedForceTest.ClashSystemMatchesAcrossBackendsBitwise pins
+// that and the DES/threads leg): its forked-worker leg must match the DES
+// bitwise too, with the 128-bit accumulators crossing the wire.
+TEST(ProcessFuzzLeg, ClashSpecPasses) {
+  ScenarioSpec spec = generate_scenario(1, 195);
+  spec.process_workers = 2;
+  ASSERT_EQ(validate_scenario(spec), "");
+  const FuzzVerdict v = evaluate_scenario(spec);
+  EXPECT_TRUE(v.ok) << v.oracle << "\n" << v.detail;
+}
+
+// A force out of the fixed-point range is recorded on a worker's PE and
+// carried home in its state flush; run_cycle throws in the parent.
+TEST(ProcessForceRange, NanCoordinateThrowsForceRangeError) {
+  Molecule mol = make_water_box({16.0, 16.0, 16.0}, /*seed=*/11);
+  mol.suggested_patch_size = 8.0;
+  NonbondedOptions nb;
+  nb.cutoff = 6.5;
+  nb.switch_dist = 5.5;
+  const Workload wl(mol, MachineModel::asci_red(), nb);
+  mol.positions()[4].y = std::nan("");  // the sim copies it at construction
+  ParallelOptions opts;
+  opts.num_pes = 4;
+  opts.numeric = true;
+  opts.backend = BackendKind::kProcess;
+  opts.process.workers = 2;
+  ParallelSim sim(wl, opts);
+  EXPECT_THROW(sim.run_cycle(2), ForceRangeError);
+}
+
+// The only worker dies, so every PE is marked failed: recovery has nothing
+// to evacuate onto and must stop with the cycle incomplete (release builds
+// used to crash here).
+TEST(ProcessChaos, LastWorkerKilledLeavesTheCycleIncomplete) {
+  const GoldenSpec* spec = find_golden_spec("waterbox");
+  ASSERT_NE(spec, nullptr);
+  Molecule mol = spec->make();
+  ParallelOptions opts;
+  opts.num_pes = 4;
+  opts.backend = BackendKind::kProcess;
+  opts.process.workers = 1;
+  opts.process.kill_worker = 0;
+  opts.process.kill_after_frames = 0;
+  opts.checkpoint_every = 1;
+  opts.checkpoint_path = temp_checkpoint_path("last_worker");
+  opts.numeric = true;
+  opts.dt_fs = spec->engine.dt_fs;
+  Workload wl(mol, opts.machine, spec->engine.nonbonded);
+  ParallelSim sim(wl, opts);
+  sim.run_cycle(spec->record_every);
+  EXPECT_FALSE(sim.last_cycle_complete());
+  EXPECT_EQ(sim.backend().failed_pes(), (std::vector<int>{0, 1, 2, 3}));
+  EXPECT_EQ(sim.restarts(), 0);
+  std::remove(opts.checkpoint_path.c_str());
 }
 
 }  // namespace

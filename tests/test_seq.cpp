@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 #include "gen/presets.hpp"
 #include "gen/water_box.hpp"
@@ -27,6 +28,19 @@ TEST(CellGridTest, CellOfClampsOutside) {
   const CellGrid g({30, 30, 30}, 15.0);
   EXPECT_EQ(g.cell_of({-5, -5, -5}), g.index({0, 0, 0}));
   EXPECT_EQ(g.cell_of({35, 35, 35}), g.index({1, 1, 1}));
+}
+
+TEST(CellGridTest, CellOfClampsFarOutAndNonFinitePositions) {
+  // Exploding fuzz systems reach cell_of with coordinates whose cell index
+  // does not fit an int (seen: 3.6e10 and -5.2e9); they clamp like any
+  // outside atom, and NaN lands in cell 0 on its axis.
+  const CellGrid g({30, 30, 30}, 15.0);
+  const double nan = std::nan("");
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_EQ(g.cell_of({3.6e10, -5.2e9, 5.0}), g.index({1, 0, 0}));
+  EXPECT_EQ(g.cell_of({1e300, -1e300, 20.0}), g.index({1, 0, 1}));
+  EXPECT_EQ(g.cell_of({inf, -inf, 20.0}), g.index({1, 0, 1}));
+  EXPECT_EQ(g.cell_of({nan, 20.0, nan}), g.index({0, 1, 0}));
 }
 
 TEST(CellGridTest, NeighborPairCount) {

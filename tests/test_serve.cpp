@@ -14,6 +14,7 @@
 #include <string>
 #include <vector>
 
+#include "fuzz/scenario.hpp"
 #include "serve/job.hpp"
 #include "serve/scheduler.hpp"
 #include "util/random.hpp"
@@ -313,6 +314,44 @@ TEST(ServeSchedulerTest, PreemptedJobResumesBitwiseEqual) {
                        "preempted lb job vs solo");
   expect_state_bitwise(report.results[1], run_job_alone(plain),
                        "preempted plain job vs solo");
+}
+
+// Case 87 of the seed-1 fuzz campaign fans out into replicas; the second
+// starts with forces near 1e21 kcal/mol/A, past what the fixed-point force
+// accumulators hold. That job alone must stop, with the ForceRangeError
+// message and the state it stopped in exactly as when it runs solo.
+TEST(ServeSchedulerTest, ForceRangeErrorEndsOnlyThatJob) {
+  JobSpec root;
+  root.name = "clash";
+  root.scenario = generate_scenario(1, 87);
+  root.scenario.serve_jobs = 0;
+  root.scenario.serve_workers = 1;
+  root.scenario.serve_preempt_every = 0;
+  root.replicas = 2;
+  ASSERT_EQ(validate_job(root), "");
+  BatchSpec batch;
+  batch.jobs.push_back(root);
+  const std::vector<JobSpec> jobs = expand_batch(batch);
+  ASSERT_EQ(jobs.size(), 2u);
+
+  ServeOptions opts;
+  opts.workers = 1;
+  opts.preempt_every = 1;
+  BatchScheduler sched(opts);
+  for (const JobSpec& job : jobs) sched.submit(job);
+  const ServeReport report = sched.run();
+  ASSERT_EQ(report.results.size(), 2u);
+  EXPECT_TRUE(report.results[0].complete);
+  EXPECT_EQ(report.results[0].error, "");
+  EXPECT_FALSE(report.results[1].complete);
+  EXPECT_NE(report.results[1].error.find("fixed-point range"), std::string::npos)
+      << report.results[1].error;
+  for (std::size_t k = 0; k < jobs.size(); ++k) {
+    const JobResult solo = run_job_alone(jobs[k]);
+    EXPECT_EQ(report.results[k].error, solo.error) << jobs[k].name;
+    EXPECT_EQ(report.results[k].cycles, solo.cycles) << jobs[k].name;
+    expect_state_bitwise(report.results[k], solo, jobs[k].name + " vs solo");
+  }
 }
 
 TEST(ServeSchedulerTest, CacheHitIsBitwiseIdenticalToMiss) {

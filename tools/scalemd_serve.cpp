@@ -149,6 +149,9 @@ int main(int argc, char** argv) {
                 jobs_per_hour, steps_per_sec, 100.0 * hit_rate,
                 static_cast<unsigned long long>(report.cache_hits),
                 static_cast<unsigned long long>(lookups));
+    for (const JobResult& r : report.results) {
+      if (!r.error.empty()) std::printf("  job %s stopped: %s\n", r.name.c_str(), r.error.c_str());
+    }
 
     perf::BenchRunner runner;
     for (const JobResult& r : report.results) {

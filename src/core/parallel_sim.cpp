@@ -90,9 +90,11 @@ struct ParallelSim::PmeSlabRt {
   int bwd_pending = 0;      ///< backward transpose blocks yet to arrive
   double recip_energy = 0.0;  ///< phase-2 reciprocal partial of this round
   // Numeric mode only: per-patch position deposits, the assembled
-  // global-order snapshot, and the two grid chunks (plane / column roles).
+  // global-order snapshot, the stencils built at the spread and reused by
+  // the gather, and the two grid chunks (plane / column roles).
   std::vector<std::vector<Vec3>> patch_pos;
   std::vector<Vec3> all_pos;
+  std::vector<PmeStencil> stencils;
   std::vector<std::complex<double>> planes, columns;
 };
 
@@ -266,6 +268,13 @@ std::string config_error(const ParallelOptions& opts, const Workload& workload) 
   if (const char* why = full_elec_error(workload.nonbonded.full_elec)) {
     return std::string("invalid full-electrostatics options: ") + why;
   }
+  if (opts.pme.slabs < 1) {
+    return "pme.slabs must be at least 1, got " + std::to_string(opts.pme.slabs);
+  }
+  if (opts.pme.dedicated_ranks < 0) {
+    return "pme.dedicated_ranks must not be negative, got " +
+           std::to_string(opts.pme.dedicated_ranks);
+  }
   return "";
 }
 
@@ -324,8 +333,7 @@ ParallelSim::ParallelSim(const Workload& workload, const ParallelOptions& opts)
     // entries exist on every backend (the process wire needs their ids
     // before setup_process_wire registers decoders).
     pme_plan_ = std::make_unique<PmeSlabPlan>(
-        mol_->box, to_pme_options(wl_->nonbonded.full_elec),
-        std::max(1, opts_.pme.slabs));
+        mol_->box, to_pme_options(wl_->nonbonded.full_elec), opts_.pme.slabs);
     e_pme_atoms_ = reg.add("PmeSlab::recvAtoms", WorkCategory::kNonbonded);
     e_pme_tr_fwd_ =
         reg.add("PmeSlab::recvTransposeFwd", WorkCategory::kNonbonded);
@@ -910,7 +918,8 @@ void ParallelSim::pme_spread_and_transpose(ExecContext& ctx, int slab) {
       }
     }
     std::fill(rt.planes.begin(), rt.planes.end(), std::complex<double>{});
-    pme_plan_->spread(slab, rt.all_pos, charges_, rt.planes);
+    pme_plan_->stencils(slab, rt.all_pos, rt.stencils);
+    pme_plan_->spread(slab, rt.stencils, charges_, rt.planes);
     pme_plan_->plane_fft(slab, rt.planes, /*inverse=*/false);
   }
   const std::uint64_t obj_base =
@@ -1004,7 +1013,7 @@ void ParallelSim::pme_gather_and_send(ExecContext& ctx, int slab) {
   if (opts_.numeric) {
     pme_plan_->plane_fft(slab, rt.planes, /*inverse=*/true);
     all_frc.assign(static_cast<std::size_t>(mol_->atom_count()), Vec3{});
-    pme_plan_->gather(slab, rt.all_pos, charges_, rt.planes, all_frc);
+    pme_plan_->gather(slab, rt.stencils, charges_, rt.planes, all_frc);
     // This slab's deterministic share of the terms the grid sum does not
     // carry: the strided self energy and exclusion corrections (their
     // forces land in all_frc by global id, riding the same force shares).

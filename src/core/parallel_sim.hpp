@@ -184,7 +184,8 @@ class ParallelSim {
   ///   runtime already runs computes on every PE at once);
   /// - fault plans and reliable delivery model DES timers, so they need the
   ///   simulated backend; checkpoints need the simulated or process backend;
-  /// - full-electrostatics options must pass full_elec_error().
+  /// - full-electrostatics options must pass full_elec_error();
+  /// - pme.slabs must be at least 1 and pme.dedicated_ranks not negative.
   ParallelSim(const Workload& workload, const ParallelOptions& opts);
   ~ParallelSim();
 

@@ -2,75 +2,81 @@
 
 #include <cassert>
 #include <cmath>
+#include <stdexcept>
+#include <string>
 
 namespace scalemd {
 
-void fft(std::vector<std::complex<double>>& data, bool inverse) {
-  const std::size_t n = data.size();
-  assert(is_pow2(static_cast<int>(n)));
-  if (n <= 1) return;
-
-  // Bit-reversal permutation.
-  for (std::size_t i = 1, j = 0; i < n; ++i) {
-    std::size_t bit = n >> 1;
+FftPlan::FftPlan(int n) : n_(n) {
+  if (n <= 0 || (n & (n - 1)) != 0) {
+    throw std::invalid_argument("FFT size must be a power of two, got " +
+                                std::to_string(n));
+  }
+  for (int i = 1, j = 0; i < n; ++i) {
+    int bit = n >> 1;
     for (; j & bit; bit >>= 1) j ^= bit;
     j ^= bit;
-    if (i < j) std::swap(data[i], data[j]);
+    if (i < j) swaps_.emplace_back(i, j);
   }
-
-  // Butterfly passes.
-  for (std::size_t len = 2; len <= n; len <<= 1) {
-    const double angle = (inverse ? 2.0 : -2.0) * M_PI / static_cast<double>(len);
-    const std::complex<double> wlen(std::cos(angle), std::sin(angle));
-    for (std::size_t i = 0; i < n; i += len) {
+  forward_.reserve(static_cast<std::size_t>(n));
+  inverse_.reserve(static_cast<std::size_t>(n));
+  for (int len = 2; len <= n; len <<= 1) {
+    for (const bool inverse : {false, true}) {
+      const double angle =
+          (inverse ? 2.0 : -2.0) * M_PI / static_cast<double>(len);
+      const std::complex<double> wlen(std::cos(angle), std::sin(angle));
       std::complex<double> w(1.0, 0.0);
-      for (std::size_t k = 0; k < len / 2; ++k) {
-        const std::complex<double> u = data[i + k];
-        const std::complex<double> v = data[i + k + len / 2] * w;
-        data[i + k] = u + v;
-        data[i + k + len / 2] = u - v;
+      std::vector<std::complex<double>>& table = inverse ? inverse_ : forward_;
+      for (int k = 0; k < len / 2; ++k) {
+        table.push_back(w);
         w *= wlen;
       }
     }
   }
 }
 
-void fft3d(std::vector<std::complex<double>>& grid, int nx, int ny, int nz,
-           bool inverse) {
-  assert(is_pow2(nx) && is_pow2(ny) && is_pow2(nz));
-  assert(grid.size() == static_cast<std::size_t>(nx) * ny * nz);
-  auto at = [&](int x, int y, int z) -> std::complex<double>& {
-    return grid[(static_cast<std::size_t>(z) * ny + y) * nx + x];
-  };
+void FftPlan::transform(std::complex<double>* data, std::size_t stride,
+                        bool inverse) const {
+  for (const auto& [i, j] : swaps_) {
+    std::swap(data[static_cast<std::size_t>(i) * stride],
+              data[static_cast<std::size_t>(j) * stride]);
+  }
+  const std::vector<std::complex<double>>& twiddles = inverse ? inverse_ : forward_;
+  const auto n = static_cast<std::size_t>(n_);
+  // The twiddle loop runs outside the block loop, so `w` is loop-invariant.
+  // That fixes the bits on FMA hosts: gcc compiles the complex product to
+  // vfmaddsub despite -ffp-contract=off, and the loop shape decides which
+  // factor it broadcasts, hence which product stays unrounded. Other shapes
+  // broadcast the data instead and move every PME trajectory bit.
+  for (std::size_t half = 1; half < n; half <<= 1) {
+    for (std::size_t k = 0; k < half; ++k) {
+      const std::complex<double> w = twiddles[half - 1 + k];
+      for (std::size_t i = k; i < n; i += 2 * half) {
+        std::complex<double>& lo = data[i * stride];
+        std::complex<double>& hi = data[(i + half) * stride];
+        const std::complex<double> u = lo;
+        const std::complex<double> v = hi * w;
+        lo = u + v;
+        hi = u - v;
+      }
+    }
+  }
+}
 
-  std::vector<std::complex<double>> line;
-  // Along x.
-  line.resize(static_cast<std::size_t>(nx));
-  for (int z = 0; z < nz; ++z) {
-    for (int y = 0; y < ny; ++y) {
-      for (int x = 0; x < nx; ++x) line[static_cast<std::size_t>(x)] = at(x, y, z);
-      fft(line, inverse);
-      for (int x = 0; x < nx; ++x) at(x, y, z) = line[static_cast<std::size_t>(x)];
+void fft3d(std::span<std::complex<double>> grid, const FftPlan& x, const FftPlan& y,
+           const FftPlan& z, bool inverse) {
+  const auto nx = static_cast<std::size_t>(x.size());
+  const auto ny = static_cast<std::size_t>(y.size());
+  const auto nz = static_cast<std::size_t>(z.size());
+  assert(grid.size() == nx * ny * nz);
+  std::complex<double>* g = grid.data();
+  for (std::size_t zy = 0; zy < nz * ny; ++zy) x.transform(g + zy * nx, 1, inverse);
+  for (std::size_t zi = 0; zi < nz; ++zi) {
+    for (std::size_t xi = 0; xi < nx; ++xi) {
+      y.transform(g + zi * ny * nx + xi, nx, inverse);
     }
   }
-  // Along y.
-  line.resize(static_cast<std::size_t>(ny));
-  for (int z = 0; z < nz; ++z) {
-    for (int x = 0; x < nx; ++x) {
-      for (int y = 0; y < ny; ++y) line[static_cast<std::size_t>(y)] = at(x, y, z);
-      fft(line, inverse);
-      for (int y = 0; y < ny; ++y) at(x, y, z) = line[static_cast<std::size_t>(y)];
-    }
-  }
-  // Along z.
-  line.resize(static_cast<std::size_t>(nz));
-  for (int y = 0; y < ny; ++y) {
-    for (int x = 0; x < nx; ++x) {
-      for (int z = 0; z < nz; ++z) line[static_cast<std::size_t>(z)] = at(x, y, z);
-      fft(line, inverse);
-      for (int z = 0; z < nz; ++z) at(x, y, z) = line[static_cast<std::size_t>(z)];
-    }
-  }
+  for (std::size_t yx = 0; yx < ny * nx; ++yx) z.transform(g + yx, ny * nx, inverse);
 }
 
 }  // namespace scalemd

@@ -2,21 +2,22 @@
 
 #include <cassert>
 #include <cmath>
+#include <stdexcept>
+#include <string>
 
-#include "ewald/fft.hpp"
 #include "util/units.hpp"
 
 namespace scalemd {
 
-void bspline_weights(double u, int order, std::span<double> w,
-                     std::span<double> dw) {
-  assert(order >= 2);
-  assert(w.size() == static_cast<std::size_t>(order));
-  assert(dw.size() == static_cast<std::size_t>(order));
+namespace {
+
+/// bspline_weights without the argument checks: order in [2, kMaxPmeOrder],
+/// `w` and `dw` hold `order` values.
+void fill_bspline(double u, int order, double* w, double* dw) {
   // m[k] = M_q(u + k) for the current order q, built by recursion from
   // M_2(t) = t on [0,1], 2 - t on [1,2].
-  std::vector<double> m(static_cast<std::size_t>(order), 0.0);
-  std::vector<double> d(static_cast<std::size_t>(order), 0.0);
+  double m[kMaxPmeOrder] = {};
+  double d[kMaxPmeOrder] = {};
   m[0] = u;
   if (order > 1) m[1] = 1.0 - u;
   if (order == 2) {
@@ -26,18 +27,45 @@ void bspline_weights(double u, int order, std::span<double> w,
   for (int q = 3; q <= order; ++q) {
     for (int k = q - 1; k >= 0; --k) {
       const double t = u + k;
-      const double a = (k <= q - 2) ? m[static_cast<std::size_t>(k)] : 0.0;
-      const double b = (k >= 1) ? m[static_cast<std::size_t>(k - 1)] : 0.0;
-      if (q == order) d[static_cast<std::size_t>(k)] = a - b;
-      m[static_cast<std::size_t>(k)] =
-          (t * a + (static_cast<double>(q) - t) * b) / (q - 1);
+      const double a = (k <= q - 2) ? m[k] : 0.0;
+      const double b = (k >= 1) ? m[k - 1] : 0.0;
+      if (q == order) d[k] = a - b;
+      m[k] = (t * a + (static_cast<double>(q) - t) * b) / (q - 1);
     }
   }
   // Reorder so w[j] belongs to grid point floor(x) - order + 1 + j.
   for (int j = 0; j < order; ++j) {
-    w[static_cast<std::size_t>(j)] = m[static_cast<std::size_t>(order - 1 - j)];
-    dw[static_cast<std::size_t>(j)] = d[static_cast<std::size_t>(order - 1 - j)];
+    w[j] = m[order - 1 - j];
+    dw[j] = d[order - 1 - j];
   }
+}
+
+/// Grid coordinate of `x` along an axis of length `len` split into `n`
+/// points, wrapped into [0, n).
+double grid_coord(double x, double len, int n) {
+  double g = x / len * n;
+  g -= std::floor(g / n) * n;
+  return g;
+}
+
+/// One axis of a stencil: the wrapped indices of the `order` points the
+/// grid coordinate `g` touches.
+void stencil_indices(double g, int n, int order, int* idx) {
+  const int base = static_cast<int>(std::floor(g)) - order + 1;
+  for (int a = 0; a < order; ++a) idx[a] = ((base + a) % n + n) % n;
+}
+
+}  // namespace
+
+void bspline_weights(double u, int order, std::span<double> w,
+                     std::span<double> dw) {
+  if (order < 2 || order > kMaxPmeOrder ||
+      w.size() != static_cast<std::size_t>(order) ||
+      dw.size() != static_cast<std::size_t>(order)) {
+    throw std::invalid_argument(
+        "bspline_weights: order must be in [2, 8] with `order` weights");
+  }
+  fill_bspline(u, order, w.data(), dw.data());
 }
 
 std::vector<double> pme_bspline_moduli(int n, int order) {
@@ -75,90 +103,159 @@ std::vector<double> pme_bspline_moduli(int n, int order) {
   return mod;
 }
 
-Pme::Pme(const Vec3& box, const PmeOptions& opts) : box_(box), opts_(opts) {
-  assert(is_pow2(opts.grid_x) && is_pow2(opts.grid_y) && is_pow2(opts.grid_z));
-  assert(opts.order >= 2 && opts.order <= 8);
-  bmod_x_ = pme_bspline_moduli(opts.grid_x, opts.order);
-  bmod_y_ = pme_bspline_moduli(opts.grid_y, opts.order);
-  bmod_z_ = pme_bspline_moduli(opts.grid_z, opts.order);
+namespace {
+
+const PmeOptions& checked(const PmeOptions& o) {
+  if (const char* why = pme_grid_error(o.grid_x, o.grid_y, o.grid_z, o.order)) {
+    throw std::invalid_argument(why);
+  }
+  return o;
 }
 
-double Pme::reciprocal(std::span<const Vec3> pos, std::span<const double> q,
-                       std::span<Vec3> f) const {
+}  // namespace
+
+PmeKernels::PmeKernels(const Vec3& box, const PmeOptions& opts)
+    : box_(box),
+      opts_(checked(opts)),
+      fft_x_(opts.grid_x),
+      fft_y_(opts.grid_y),
+      fft_z_(opts.grid_z) {
   const int kx = opts_.grid_x, ky = opts_.grid_y, kz = opts_.grid_z;
-  const int p = opts_.order;
-  const std::size_t ngrid = static_cast<std::size_t>(kx) * ky * kz;
-  std::vector<std::complex<double>> grid(ngrid, {0.0, 0.0});
-  auto at = [&](int x, int y, int z) -> std::complex<double>& {
-    return grid[(static_cast<std::size_t>(z) * ky + y) * kx + x];
-  };
-
-  // --- Spread charges with B-spline weights -----------------------------
-  struct Spread {
-    int base_x, base_y, base_z;
-    std::vector<double> wx, wy, wz, dx, dy, dz;
-  };
-  std::vector<Spread> spreads(pos.size());
-  auto frac = [](double x, double len, int n) {
-    double g = x / len * n;
-    g -= std::floor(g / n) * n;  // wrap into [0, n)
-    return g;
-  };
-  for (std::size_t i = 0; i < pos.size(); ++i) {
-    Spread& s = spreads[i];
-    const double gx = frac(pos[i].x, box_.x, kx);
-    const double gy = frac(pos[i].y, box_.y, ky);
-    const double gz = frac(pos[i].z, box_.z, kz);
-    s.base_x = static_cast<int>(std::floor(gx)) - p + 1;
-    s.base_y = static_cast<int>(std::floor(gy)) - p + 1;
-    s.base_z = static_cast<int>(std::floor(gz)) - p + 1;
-    s.wx.resize(static_cast<std::size_t>(p));
-    s.wy.resize(static_cast<std::size_t>(p));
-    s.wz.resize(static_cast<std::size_t>(p));
-    s.dx.resize(static_cast<std::size_t>(p));
-    s.dy.resize(static_cast<std::size_t>(p));
-    s.dz.resize(static_cast<std::size_t>(p));
-    bspline_weights(gx - std::floor(gx), p, s.wx, s.dx);
-    bspline_weights(gy - std::floor(gy), p, s.wy, s.dy);
-    bspline_weights(gz - std::floor(gz), p, s.wz, s.dz);
-    for (int a = 0; a < p; ++a) {
-      const int zi = ((s.base_z + a) % kz + kz) % kz;
-      for (int b = 0; b < p; ++b) {
-        const int yi = ((s.base_y + b) % ky + ky) % ky;
-        const double wzy = q[i] * s.wz[static_cast<std::size_t>(a)] *
-                           s.wy[static_cast<std::size_t>(b)];
-        for (int c = 0; c < p; ++c) {
-          const int xi = ((s.base_x + c) % kx + kx) % kx;
-          at(xi, yi, zi) += wzy * s.wx[static_cast<std::size_t>(c)];
-        }
-      }
-    }
-  }
-
-  // --- Convolution with the Ewald influence function --------------------
-  fft3d(grid, kx, ky, kz, /*inverse=*/false);
+  const std::vector<double> bmod_x = pme_bspline_moduli(kx, opts_.order);
+  const std::vector<double> bmod_y = pme_bspline_moduli(ky, opts_.order);
+  const std::vector<double> bmod_z = pme_bspline_moduli(kz, opts_.order);
   const double volume = box_.x * box_.y * box_.z;
   const double a2inv = 1.0 / (4.0 * opts_.alpha * opts_.alpha);
-  double energy = 0.0;
-  for (int mz = 0; mz < kz; ++mz) {
-    const int sz = mz <= kz / 2 ? mz : mz - kz;
-    for (int my = 0; my < ky; ++my) {
-      const int sy = my <= ky / 2 ? my : my - ky;
-      for (int mx = 0; mx < kx; ++mx) {
-        const int sx = mx <= kx / 2 ? mx : mx - kx;
-        std::complex<double>& g = at(mx, my, mz);
-        if (sx == 0 && sy == 0 && sz == 0) {
-          g = 0.0;
-          continue;
-        }
+  influence_.assign(static_cast<std::size_t>(kx) * ky * kz, 0.0);
+  std::size_t i = 0;
+  for (int my = 0; my < ky; ++my) {
+    const int sy = my <= ky / 2 ? my : my - ky;
+    for (int mx = 0; mx < kx; ++mx) {
+      const int sx = mx <= kx / 2 ? mx : mx - kx;
+      for (int mz = 0; mz < kz; ++mz, ++i) {
+        const int sz = mz <= kz / 2 ? mz : mz - kz;
+        if (sx == 0 && sy == 0 && sz == 0) continue;
         const Vec3 k{2.0 * M_PI * sx / box_.x, 2.0 * M_PI * sy / box_.y,
                      2.0 * M_PI * sz / box_.z};
         const double k2 = norm2(k);
-        const double bsq = bmod_x_[static_cast<std::size_t>(mx)] *
-                           bmod_y_[static_cast<std::size_t>(my)] *
-                           bmod_z_[static_cast<std::size_t>(mz)];
-        const double influence = units::kCoulomb * (4.0 * M_PI / volume) *
-                                 std::exp(-k2 * a2inv) / (k2 * bsq);
+        const double bsq = bmod_x[static_cast<std::size_t>(mx)] *
+                           bmod_y[static_cast<std::size_t>(my)] *
+                           bmod_z[static_cast<std::size_t>(mz)];
+        influence_[i] = units::kCoulomb * (4.0 * M_PI / volume) *
+                        std::exp(-k2 * a2inv) / (k2 * bsq);
+      }
+    }
+  }
+}
+
+void PmeKernels::build_stencils(std::span<const Vec3> pos, int z0, int z1,
+                                std::vector<PmeStencil>& out) const {
+  const int p = opts_.order;
+  out.clear();
+  for (std::size_t i = 0; i < pos.size(); ++i) {
+    const double gz = grid_coord(pos[i].z, box_.z, opts_.grid_z);
+    std::array<int, kMaxPmeOrder> iz{};
+    stencil_indices(gz, opts_.grid_z, p, iz.data());
+    bool reaches = false;
+    for (int a = 0; a < p; ++a) reaches = reaches || (iz[a] >= z0 && iz[a] < z1);
+    if (!reaches) continue;
+
+    PmeStencil& s = out.emplace_back();
+    s.atom = static_cast<int>(i);
+    s.iz = iz;
+    const double gx = grid_coord(pos[i].x, box_.x, opts_.grid_x);
+    const double gy = grid_coord(pos[i].y, box_.y, opts_.grid_y);
+    stencil_indices(gx, opts_.grid_x, p, s.ix.data());
+    stencil_indices(gy, opts_.grid_y, p, s.iy.data());
+    fill_bspline(gx - std::floor(gx), p, s.wx.data(), s.dx.data());
+    fill_bspline(gy - std::floor(gy), p, s.wy.data(), s.dy.data());
+    fill_bspline(gz - std::floor(gz), p, s.wz.data(), s.dz.data());
+  }
+}
+
+void PmeKernels::spread(std::span<const PmeStencil> stencils,
+                        std::span<const double> q, int z0, int z1,
+                        std::span<std::complex<double>> planes) const {
+  const auto kx = static_cast<std::size_t>(opts_.grid_x);
+  const auto ky = static_cast<std::size_t>(opts_.grid_y);
+  const int p = opts_.order;
+  assert(planes.size() == static_cast<std::size_t>(z1 - z0) * ky * kx);
+  for (const PmeStencil& s : stencils) {
+    const double qi = q[static_cast<std::size_t>(s.atom)];
+    for (int a = 0; a < p; ++a) {
+      if (s.iz[a] < z0 || s.iz[a] >= z1) continue;
+      std::complex<double>* plane =
+          planes.data() + static_cast<std::size_t>(s.iz[a] - z0) * ky * kx;
+      for (int b = 0; b < p; ++b) {
+        std::complex<double>* row = plane + static_cast<std::size_t>(s.iy[b]) * kx;
+        const double wzy = qi * s.wz[a] * s.wy[b];
+        for (int c = 0; c < p; ++c) row[s.ix[c]] += wzy * s.wx[c];
+      }
+    }
+  }
+}
+
+void PmeKernels::gather(std::span<const PmeStencil> stencils,
+                        std::span<const double> q, int z0, int z1,
+                        std::span<const std::complex<double>> planes,
+                        std::span<Vec3> f) const {
+  const auto kx = static_cast<std::size_t>(opts_.grid_x);
+  const auto ky = static_cast<std::size_t>(opts_.grid_y);
+  const int p = opts_.order;
+  assert(planes.size() == static_cast<std::size_t>(z1 - z0) * ky * kx);
+  const double hx = opts_.grid_x / box_.x;
+  const double hy = opts_.grid_y / box_.y;
+  const double hz = opts_.grid_z / box_.z;
+  for (const PmeStencil& s : stencils) {
+    Vec3 grad;  // d(energy)/d(r_i)
+    for (int a = 0; a < p; ++a) {
+      if (s.iz[a] < z0 || s.iz[a] >= z1) continue;
+      const std::complex<double>* plane =
+          planes.data() + static_cast<std::size_t>(s.iz[a] - z0) * ky * kx;
+      const double wa = s.wz[a];
+      for (int b = 0; b < p; ++b) {
+        const std::complex<double>* row =
+            plane + static_cast<std::size_t>(s.iy[b]) * kx;
+        const double wb = s.wy[b];
+        for (int c = 0; c < p; ++c) {
+          const double phi = row[s.ix[c]].real();
+          const double wc = s.wx[c];
+          grad.x += phi * s.dx[c] * wb * wa * hx;
+          grad.y += phi * wc * s.dy[b] * wa * hy;
+          grad.z += phi * wc * wb * s.dz[a] * hz;
+        }
+      }
+    }
+    const auto i = static_cast<std::size_t>(s.atom);
+    f[i] -= grad * q[i];
+  }
+}
+
+Pme::Pme(const Vec3& box, const PmeOptions& opts) : kernels_(box, opts) {}
+
+double Pme::reciprocal(std::span<const Vec3> pos, std::span<const double> q,
+                       std::span<Vec3> f) const {
+  const PmeOptions& o = kernels_.options();
+  const int kx = o.grid_x, ky = o.grid_y, kz = o.grid_z;
+  std::vector<std::complex<double>> grid(static_cast<std::size_t>(kx) * ky * kz,
+                                         {0.0, 0.0});
+  std::vector<PmeStencil> stencils;
+  kernels_.build_stencils(pos, 0, kz, stencils);
+  kernels_.spread(stencils, q, 0, kz, grid);
+
+  // --- Convolution with the Ewald influence function --------------------
+  fft3d(grid, kernels_.fft_x(), kernels_.fft_y(), kernels_.fft_z(), /*inverse=*/false);
+  double energy = 0.0;
+  std::size_t i = 0;
+  for (int mz = 0; mz < kz; ++mz) {
+    for (int my = 0; my < ky; ++my) {
+      for (int mx = 0; mx < kx; ++mx, ++i) {
+        std::complex<double>& g = grid[i];
+        if (mx == 0 && my == 0 && mz == 0) {
+          g = 0.0;
+          continue;
+        }
+        const double influence = kernels_.influence(mx, my, mz);
         energy += 0.5 * influence * std::norm(g);
         g *= influence;
       }
@@ -167,30 +264,9 @@ double Pme::reciprocal(std::span<const Vec3> pos, std::span<const double> q,
   // Adjoint transform for dE/dQ(r) = Re[sum_k I(k) F(k) e^{+ikr}]: the
   // *unnormalized* inverse FFT (no 1/N — that factor belongs to signal
   // reconstruction, not to this gradient).
-  fft3d(grid, kx, ky, kz, /*inverse=*/true);
+  fft3d(grid, kernels_.fft_x(), kernels_.fft_y(), kernels_.fft_z(), /*inverse=*/true);
 
-  // --- Gather forces from the potential grid ----------------------------
-  for (std::size_t i = 0; i < pos.size(); ++i) {
-    const Spread& s = spreads[i];
-    Vec3 grad;  // d(energy)/d(r_i)
-    for (int a = 0; a < p; ++a) {
-      const int zi = ((s.base_z + a) % kz + kz) % kz;
-      for (int b = 0; b < p; ++b) {
-        const int yi = ((s.base_y + b) % ky + ky) % ky;
-        for (int c = 0; c < p; ++c) {
-          const int xi = ((s.base_x + c) % kx + kx) % kx;
-          const double phi = at(xi, yi, zi).real();
-          const double wa = s.wz[static_cast<std::size_t>(a)];
-          const double wb = s.wy[static_cast<std::size_t>(b)];
-          const double wc = s.wx[static_cast<std::size_t>(c)];
-          grad.x += phi * s.dx[static_cast<std::size_t>(c)] * wb * wa * (kx / box_.x);
-          grad.y += phi * wc * s.dy[static_cast<std::size_t>(b)] * wa * (ky / box_.y);
-          grad.z += phi * wc * wb * s.dz[static_cast<std::size_t>(a)] * (kz / box_.z);
-        }
-      }
-    }
-    f[i] -= grad * q[i];
-  }
+  kernels_.gather(stencils, q, 0, kz, grid, f);
   return energy;
 }
 

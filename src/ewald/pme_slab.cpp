@@ -1,10 +1,8 @@
 #include "ewald/pme_slab.hpp"
 
 #include <cassert>
-#include <cmath>
-
-#include "ewald/fft.hpp"
-#include "util/units.hpp"
+#include <stdexcept>
+#include <string>
 
 namespace scalemd {
 
@@ -15,137 +13,78 @@ int range_begin(int n, int parts, int i) {
   return static_cast<int>((static_cast<long long>(n) * i) / parts);
 }
 
-/// Per-atom spreading stencil, identical to the sequential Pme's.
-struct Stencil {
-  int base_x, base_y, base_z;
-  std::vector<double> wx, wy, wz, dx, dy, dz;
-};
-
-double frac_coord(double x, double len, int n) {
-  double g = x / len * n;
-  g -= std::floor(g / n) * n;  // wrap into [0, n)
-  return g;
-}
-
-Stencil make_stencil(const Vec3& pos, const Vec3& box, const PmeOptions& o) {
-  Stencil s;
-  const int p = o.order;
-  const double gx = frac_coord(pos.x, box.x, o.grid_x);
-  const double gy = frac_coord(pos.y, box.y, o.grid_y);
-  const double gz = frac_coord(pos.z, box.z, o.grid_z);
-  s.base_x = static_cast<int>(std::floor(gx)) - p + 1;
-  s.base_y = static_cast<int>(std::floor(gy)) - p + 1;
-  s.base_z = static_cast<int>(std::floor(gz)) - p + 1;
-  s.wx.resize(static_cast<std::size_t>(p));
-  s.wy.resize(static_cast<std::size_t>(p));
-  s.wz.resize(static_cast<std::size_t>(p));
-  s.dx.resize(static_cast<std::size_t>(p));
-  s.dy.resize(static_cast<std::size_t>(p));
-  s.dz.resize(static_cast<std::size_t>(p));
-  bspline_weights(gx - std::floor(gx), p, s.wx, s.dx);
-  bspline_weights(gy - std::floor(gy), p, s.wy, s.dy);
-  bspline_weights(gz - std::floor(gz), p, s.wz, s.dz);
-  return s;
+int checked_slabs(int slabs) {
+  if (slabs < 1) {
+    throw std::invalid_argument("PME slab count must be at least 1, got " +
+                                std::to_string(slabs));
+  }
+  return slabs;
 }
 
 }  // namespace
 
 PmeSlabPlan::PmeSlabPlan(const Vec3& box, const PmeOptions& opts, int slabs)
-    : box_(box), opts_(opts), slabs_(slabs) {
-  assert(slabs >= 1);
-  assert(is_pow2(opts.grid_x) && is_pow2(opts.grid_y) && is_pow2(opts.grid_z));
-  assert(opts.order >= 2 && opts.order <= 8);
-  bmod_x_ = pme_bspline_moduli(opts.grid_x, opts.order);
-  bmod_y_ = pme_bspline_moduli(opts.grid_y, opts.order);
-  bmod_z_ = pme_bspline_moduli(opts.grid_z, opts.order);
-}
+    : kernels_(box, opts), slabs_(checked_slabs(slabs)) {}
 
 int PmeSlabPlan::z_begin(int slab) const {
-  return range_begin(opts_.grid_z, slabs_, slab);
+  return range_begin(options().grid_z, slabs_, slab);
 }
 int PmeSlabPlan::z_end(int slab) const {
-  return range_begin(opts_.grid_z, slabs_, slab + 1);
+  return range_begin(options().grid_z, slabs_, slab + 1);
 }
 int PmeSlabPlan::y_begin(int slab) const {
-  return range_begin(opts_.grid_y, slabs_, slab);
+  return range_begin(options().grid_y, slabs_, slab);
 }
 int PmeSlabPlan::y_end(int slab) const {
-  return range_begin(opts_.grid_y, slabs_, slab + 1);
+  return range_begin(options().grid_y, slabs_, slab + 1);
 }
 
 std::size_t PmeSlabPlan::plane_points(int slab) const {
   return static_cast<std::size_t>(z_end(slab) - z_begin(slab)) *
-         static_cast<std::size_t>(opts_.grid_y) *
-         static_cast<std::size_t>(opts_.grid_x);
+         static_cast<std::size_t>(options().grid_y) *
+         static_cast<std::size_t>(options().grid_x);
 }
 
 std::size_t PmeSlabPlan::column_points(int slab) const {
   return static_cast<std::size_t>(y_end(slab) - y_begin(slab)) *
-         static_cast<std::size_t>(opts_.grid_x) *
-         static_cast<std::size_t>(opts_.grid_z);
+         static_cast<std::size_t>(options().grid_x) *
+         static_cast<std::size_t>(options().grid_z);
 }
 
 std::size_t PmeSlabPlan::block_doubles(int src, int dst) const {
   return 2 * static_cast<std::size_t>(z_end(src) - z_begin(src)) *
          static_cast<std::size_t>(y_end(dst) - y_begin(dst)) *
-         static_cast<std::size_t>(opts_.grid_x);
+         static_cast<std::size_t>(options().grid_x);
 }
 
-void PmeSlabPlan::spread(int slab, std::span<const Vec3> pos,
+void PmeSlabPlan::stencils(int slab, std::span<const Vec3> pos,
+                           std::vector<PmeStencil>& out) const {
+  kernels_.build_stencils(pos, z_begin(slab), z_end(slab), out);
+}
+
+void PmeSlabPlan::spread(int slab, std::span<const PmeStencil> stencils,
                          std::span<const double> q,
                          std::span<std::complex<double>> planes) const {
   assert(planes.size() == plane_points(slab));
-  const int kx = opts_.grid_x, ky = opts_.grid_y, kz = opts_.grid_z;
-  const int p = opts_.order;
-  const int z0 = z_begin(slab), z1 = z_end(slab);
-  for (std::size_t i = 0; i < pos.size(); ++i) {
-    const Stencil s = make_stencil(pos[i], box_, opts_);
-    for (int a = 0; a < p; ++a) {
-      const int zi = ((s.base_z + a) % kz + kz) % kz;
-      if (zi < z0 || zi >= z1) continue;
-      const std::size_t zoff =
-          static_cast<std::size_t>(zi - z0) * static_cast<std::size_t>(ky) *
-          static_cast<std::size_t>(kx);
-      for (int b = 0; b < p; ++b) {
-        const int yi = ((s.base_y + b) % ky + ky) % ky;
-        const double wzy = q[i] * s.wz[static_cast<std::size_t>(a)] *
-                           s.wy[static_cast<std::size_t>(b)];
-        for (int c = 0; c < p; ++c) {
-          const int xi = ((s.base_x + c) % kx + kx) % kx;
-          planes[zoff + static_cast<std::size_t>(yi) * kx + xi] +=
-              wzy * s.wx[static_cast<std::size_t>(c)];
-        }
-      }
-    }
-  }
+  kernels_.spread(stencils, q, z_begin(slab), z_end(slab), planes);
 }
 
 void PmeSlabPlan::plane_fft(int slab, std::span<std::complex<double>> planes,
                             bool inverse) const {
   assert(planes.size() == plane_points(slab));
-  const int kx = opts_.grid_x, ky = opts_.grid_y;
-  const int nz = z_end(slab) - z_begin(slab);
-  auto at = [&](int x, int y, int zl) -> std::complex<double>& {
-    return planes[(static_cast<std::size_t>(zl) * ky + y) * kx + x];
-  };
-  std::vector<std::complex<double>> line;
+  const auto kx = static_cast<std::size_t>(options().grid_x);
+  const auto ky = static_cast<std::size_t>(options().grid_y);
+  const auto nz = static_cast<std::size_t>(z_end(slab) - z_begin(slab));
+  std::complex<double>* g = planes.data();
   auto pass_x = [&] {
-    line.resize(static_cast<std::size_t>(kx));
-    for (int zl = 0; zl < nz; ++zl) {
-      for (int y = 0; y < ky; ++y) {
-        for (int x = 0; x < kx; ++x) line[static_cast<std::size_t>(x)] = at(x, y, zl);
-        fft(line, inverse);
-        for (int x = 0; x < kx; ++x) at(x, y, zl) = line[static_cast<std::size_t>(x)];
-      }
+    for (std::size_t zy = 0; zy < nz * ky; ++zy) {
+      kernels_.fft_x().transform(g + zy * kx, 1, inverse);
     }
   };
   auto pass_y = [&] {
-    line.resize(static_cast<std::size_t>(ky));
-    for (int zl = 0; zl < nz; ++zl) {
-      for (int x = 0; x < kx; ++x) {
-        for (int y = 0; y < ky; ++y) line[static_cast<std::size_t>(y)] = at(x, y, zl);
-        fft(line, inverse);
-        for (int y = 0; y < ky; ++y) at(x, y, zl) = line[static_cast<std::size_t>(y)];
+    for (std::size_t zl = 0; zl < nz; ++zl) {
+      for (std::size_t x = 0; x < kx; ++x) {
+        kernels_.fft_y().transform(g + zl * ky * kx + x, kx, inverse);
       }
     }
   };
@@ -163,7 +102,7 @@ void PmeSlabPlan::plane_fft(int slab, std::span<std::complex<double>> planes,
 std::vector<double> PmeSlabPlan::extract_fwd(
     int src, int dst, std::span<const std::complex<double>> planes) const {
   assert(planes.size() == plane_points(src));
-  const int kx = opts_.grid_x, ky = opts_.grid_y;
+  const int kx = options().grid_x, ky = options().grid_y;
   const int z0 = z_begin(src), z1 = z_end(src);
   const int y0 = y_begin(dst), y1 = y_end(dst);
   std::vector<double> block;
@@ -185,7 +124,7 @@ void PmeSlabPlan::insert_fwd(int src, int dst, std::span<const double> block,
                              std::span<std::complex<double>> columns) const {
   assert(columns.size() == column_points(dst));
   assert(block.size() == block_doubles(src, dst));
-  const int kx = opts_.grid_x, kz = opts_.grid_z;
+  const int kx = options().grid_x, kz = options().grid_z;
   const int z0 = z_begin(src), z1 = z_end(src);
   const int y0 = y_begin(dst), y1 = y_end(dst);
   std::size_t k = 0;
@@ -203,40 +142,26 @@ void PmeSlabPlan::insert_fwd(int src, int dst, std::span<const double> block,
 double PmeSlabPlan::convolve(int slab,
                              std::span<std::complex<double>> columns) const {
   assert(columns.size() == column_points(slab));
-  const int kx = opts_.grid_x, ky = opts_.grid_y, kz = opts_.grid_z;
+  const int kx = options().grid_x, kz = options().grid_z;
   const int y0 = y_begin(slab), y1 = y_end(slab);
-  const double volume = box_.x * box_.y * box_.z;
-  const double a2inv = 1.0 / (4.0 * opts_.alpha * opts_.alpha);
   double energy = 0.0;
-  std::vector<std::complex<double>> line(static_cast<std::size_t>(kz));
   for (int my = y0; my < y1; ++my) {
-    const int sy = my <= ky / 2 ? my : my - ky;
     for (int mx = 0; mx < kx; ++mx) {
-      const int sx = mx <= kx / 2 ? mx : mx - kx;
-      const std::size_t off =
+      std::complex<double>* line =
+          columns.data() +
           (static_cast<std::size_t>(my - y0) * kx + mx) * static_cast<std::size_t>(kz);
-      for (int z = 0; z < kz; ++z) line[static_cast<std::size_t>(z)] = columns[off + z];
-      fft(line, /*inverse=*/false);
+      kernels_.fft_z().transform(line, 1, /*inverse=*/false);
       for (int mz = 0; mz < kz; ++mz) {
-        const int sz = mz <= kz / 2 ? mz : mz - kz;
-        std::complex<double>& g = line[static_cast<std::size_t>(mz)];
-        if (sx == 0 && sy == 0 && sz == 0) {
+        std::complex<double>& g = line[mz];
+        if (mx == 0 && my == 0 && mz == 0) {
           g = 0.0;
           continue;
         }
-        const Vec3 k{2.0 * M_PI * sx / box_.x, 2.0 * M_PI * sy / box_.y,
-                     2.0 * M_PI * sz / box_.z};
-        const double k2 = norm2(k);
-        const double bsq = bmod_x_[static_cast<std::size_t>(mx)] *
-                           bmod_y_[static_cast<std::size_t>(my)] *
-                           bmod_z_[static_cast<std::size_t>(mz)];
-        const double influence = units::kCoulomb * (4.0 * M_PI / volume) *
-                                 std::exp(-k2 * a2inv) / (k2 * bsq);
+        const double influence = kernels_.influence(mx, my, mz);
         energy += 0.5 * influence * std::norm(g);
         g *= influence;
       }
-      fft(line, /*inverse=*/true);
-      for (int z = 0; z < kz; ++z) columns[off + z] = line[static_cast<std::size_t>(z)];
+      kernels_.fft_z().transform(line, 1, /*inverse=*/true);
     }
   }
   return energy;
@@ -245,7 +170,7 @@ double PmeSlabPlan::convolve(int slab,
 std::vector<double> PmeSlabPlan::extract_bwd(
     int src, int dst, std::span<const std::complex<double>> columns) const {
   assert(columns.size() == column_points(src));
-  const int kx = opts_.grid_x, kz = opts_.grid_z;
+  const int kx = options().grid_x, kz = options().grid_z;
   const int z0 = z_begin(dst), z1 = z_end(dst);
   const int y0 = y_begin(src), y1 = y_end(src);
   std::vector<double> block;
@@ -268,7 +193,7 @@ void PmeSlabPlan::insert_bwd(int src, int dst, std::span<const double> block,
                              std::span<std::complex<double>> planes) const {
   assert(planes.size() == plane_points(dst));
   assert(block.size() == block_doubles(dst, src));
-  const int kx = opts_.grid_x, ky = opts_.grid_y;
+  const int kx = options().grid_x, ky = options().grid_y;
   const int z0 = z_begin(dst), z1 = z_end(dst);
   const int y0 = y_begin(src), y1 = y_end(src);
   std::size_t k = 0;
@@ -283,42 +208,12 @@ void PmeSlabPlan::insert_bwd(int src, int dst, std::span<const double> block,
   }
 }
 
-void PmeSlabPlan::gather(int slab, std::span<const Vec3> pos,
+void PmeSlabPlan::gather(int slab, std::span<const PmeStencil> stencils,
                          std::span<const double> q,
                          std::span<const std::complex<double>> planes,
                          std::span<Vec3> f) const {
   assert(planes.size() == plane_points(slab));
-  const int kx = opts_.grid_x, ky = opts_.grid_y, kz = opts_.grid_z;
-  const int p = opts_.order;
-  const int z0 = z_begin(slab), z1 = z_end(slab);
-  for (std::size_t i = 0; i < pos.size(); ++i) {
-    const Stencil s = make_stencil(pos[i], box_, opts_);
-    Vec3 grad;
-    bool touched = false;
-    for (int a = 0; a < p; ++a) {
-      const int zi = ((s.base_z + a) % kz + kz) % kz;
-      if (zi < z0 || zi >= z1) continue;
-      touched = true;
-      const std::size_t zoff =
-          static_cast<std::size_t>(zi - z0) * static_cast<std::size_t>(ky) *
-          static_cast<std::size_t>(kx);
-      for (int b = 0; b < p; ++b) {
-        const int yi = ((s.base_y + b) % ky + ky) % ky;
-        for (int c = 0; c < p; ++c) {
-          const int xi = ((s.base_x + c) % kx + kx) % kx;
-          const double phi =
-              planes[zoff + static_cast<std::size_t>(yi) * kx + xi].real();
-          const double wa = s.wz[static_cast<std::size_t>(a)];
-          const double wb = s.wy[static_cast<std::size_t>(b)];
-          const double wc = s.wx[static_cast<std::size_t>(c)];
-          grad.x += phi * s.dx[static_cast<std::size_t>(c)] * wb * wa * (kx / box_.x);
-          grad.y += phi * wc * s.dy[static_cast<std::size_t>(b)] * wa * (ky / box_.y);
-          grad.z += phi * wc * wb * s.dz[static_cast<std::size_t>(a)] * (kz / box_.z);
-        }
-      }
-    }
-    if (touched) f[i] -= grad * q[i];
-  }
+  kernels_.gather(stencils, q, z_begin(slab), z_end(slab), planes, f);
 }
 
 }  // namespace scalemd

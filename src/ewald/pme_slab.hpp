@@ -15,9 +15,11 @@ namespace scalemd {
 /// roles within one pipeline round:
 ///
 ///   plane role  - slab i owns the contiguous z-plane range
-///                 [z_begin(i), z_end(i)): charge spreading, the x/y 2D FFTs
-///                 and, on the way back, the inverse y/x FFTs plus force
-///                 gathering;
+///                 [z_begin(i), z_end(i)): it builds the stencils of the
+///                 atoms whose z-window reaches those planes (in global atom
+///                 order), spreads their charges, runs the x/y 2D FFTs and,
+///                 on the way back, the inverse y/x FFTs plus force
+///                 gathering with the same stencils;
 ///   column role - slab i owns the y-row range [y_begin(i), y_end(i)) at full
 ///                 z extent: the z FFT, the influence-function convolution
 ///                 (producing this slab's reciprocal-energy partial) and the
@@ -27,6 +29,12 @@ namespace scalemd {
 /// (extract_fwd/insert_fwd forward, extract_bwd/insert_bwd backward). Every
 /// block covers a disjoint grid region, so blocks may be inserted in any
 /// arrival order without changing a single bit.
+///
+/// The stencil, spread and gather kernels, the FFT plans and the influence
+/// table are the PmeKernels the sequential Pme runs too; a slab runs them
+/// over its own planes. No per-round routine allocates, apart from
+/// `stencils` growing its output and the extract_* blocks, which become
+/// messages.
 ///
 /// Every routine is a deterministic pure function of its inputs: with the
 /// same slab count, two runs produce bitwise-identical grids, energy
@@ -43,10 +51,12 @@ namespace scalemd {
 /// differ from sequential by summation order.
 class PmeSlabPlan {
  public:
+  /// Throws std::invalid_argument on options pme_grid_error rejects or on
+  /// fewer than one slab.
   PmeSlabPlan(const Vec3& box, const PmeOptions& opts, int slabs);
 
   int slabs() const { return slabs_; }
-  const PmeOptions& options() const { return opts_; }
+  const PmeOptions& options() const { return kernels_.options(); }
 
   /// Plane-role ownership: contiguous z-plane range of slab i.
   int z_begin(int slab) const;
@@ -66,14 +76,21 @@ class PmeSlabPlan {
   /// same size.
   std::size_t block_doubles(int src, int dst) const;
 
-  /// Spreads every atom's charge onto the grid points falling inside slab
+  /// Replaces `out` with the stencils of the atoms whose z-window reaches
+  /// slab i's planes, in global atom order. The slab keeps them from its
+  /// spread to its gather.
+  void stencils(int slab, std::span<const Vec3> pos,
+                std::vector<PmeStencil>& out) const;
+
+  /// Spreads the stencils' charges onto the grid points falling inside slab
   /// i's z-planes, accumulating into `planes` (zeroed by the caller) in
   /// global atom order.
-  void spread(int slab, std::span<const Vec3> pos, std::span<const double> q,
+  void spread(int slab, std::span<const PmeStencil> stencils, std::span<const double> q,
               std::span<std::complex<double>> planes) const;
 
   /// 2D FFT of every owned z-plane: rows along x then columns along y
-  /// (forward), unwound y then x (inverse, unnormalized like fft()).
+  /// (forward), unwound y then x (inverse, unnormalized like
+  /// FftPlan::transform).
   void plane_fft(int slab, std::span<std::complex<double>> planes,
                  bool inverse) const;
 
@@ -96,19 +113,18 @@ class PmeSlabPlan {
   void insert_bwd(int src, int dst, std::span<const double> block,
                   std::span<std::complex<double>> planes) const;
 
-  /// Accumulates each atom's force share from slab i's z-planes of the
+  /// Accumulates each stencil's force share from slab i's z-planes of the
   /// convolved potential grid: f[i] -= q[i] * grad_i, stencil points outside
-  /// the slab left for their owners. Summed over slabs in slab order this
-  /// reproduces the sequential gather up to summation order.
-  void gather(int slab, std::span<const Vec3> pos, std::span<const double> q,
+  /// the slab left for their owners. `stencils` are the ones this slab
+  /// spread. Summed over slabs in slab order this reproduces the sequential
+  /// gather up to summation order.
+  void gather(int slab, std::span<const PmeStencil> stencils, std::span<const double> q,
               std::span<const std::complex<double>> planes,
               std::span<Vec3> f) const;
 
  private:
-  Vec3 box_;
-  PmeOptions opts_;
+  PmeKernels kernels_;
   int slabs_;
-  std::vector<double> bmod_x_, bmod_y_, bmod_z_;
 };
 
 }  // namespace scalemd

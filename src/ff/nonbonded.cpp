@@ -27,21 +27,26 @@ NonbondedContext::NonbondedContext(const ParameterTable& params,
   assert(!fe_enabled_ || full_elec_error(opts.full_elec) == nullptr);
 }
 
+const char* pme_grid_error(int grid_x, int grid_y, int grid_z, int order) {
+  const auto pow2 = [](int n) { return n > 0 && (n & (n - 1)) == 0; };
+  if (order < 2 || order > kMaxPmeOrder) return "PME order must be in [2, 8]";
+  if (!pow2(grid_x)) return "PME grid_x must be a power of two";
+  if (!pow2(grid_y)) return "PME grid_y must be a power of two";
+  if (!pow2(grid_z)) return "PME grid_z must be a power of two";
+  if (order > grid_x || order > grid_y || order > grid_z) {
+    return "PME order must not exceed any grid dimension";
+  }
+  return nullptr;
+}
+
 const char* full_elec_error(const FullElecOptions& fe) {
   if (!fe.enabled) return nullptr;
-  const auto pow2 = [](int n) { return n > 0 && (n & (n - 1)) == 0; };
   if (!(fe.alpha > 0.0) || fe.alpha > 10.0)
     return "full-elec alpha must be in (0, 10]";
-  if (!pow2(fe.grid_x) || fe.grid_x < 4 || fe.grid_x > 256)
-    return "full-elec grid_x must be a power of two in [4, 256]";
-  if (!pow2(fe.grid_y) || fe.grid_y < 4 || fe.grid_y > 256)
-    return "full-elec grid_y must be a power of two in [4, 256]";
-  if (!pow2(fe.grid_z) || fe.grid_z < 4 || fe.grid_z > 256)
-    return "full-elec grid_z must be a power of two in [4, 256]";
-  if (fe.order < 2 || fe.order > 8) return "full-elec order must be in [2, 8]";
-  if (fe.order > fe.grid_x || fe.order > fe.grid_y || fe.order > fe.grid_z)
-    return "full-elec order must not exceed any grid dimension";
-  return nullptr;
+  if (fe.grid_x < 4 || fe.grid_x > 256) return "full-elec grid_x must be in [4, 256]";
+  if (fe.grid_y < 4 || fe.grid_y > 256) return "full-elec grid_y must be in [4, 256]";
+  if (fe.grid_z < 4 || fe.grid_z > 256) return "full-elec grid_z must be in [4, 256]";
+  return pme_grid_error(fe.grid_x, fe.grid_y, fe.grid_z, fe.order);
 }
 
 namespace {

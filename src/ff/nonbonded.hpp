@@ -32,8 +32,19 @@ struct FullElecOptions {
   int grid_x = 32;      ///< PME grid dims; must be powers of two (radix-2 FFT)
   int grid_y = 32;
   int grid_z = 32;
-  int order = 4;  ///< cardinal B-spline interpolation order, 2..8
+  int order = 4;  ///< cardinal B-spline interpolation order, 2..kMaxPmeOrder
 };
+
+/// Highest supported PME B-spline order: the PME stencils hold their
+/// weights in fixed arrays of this size.
+inline constexpr int kMaxPmeOrder = 8;
+
+/// nullptr when a PME grid of these dimensions can run with this B-spline
+/// order, else a static string naming the first broken rule: `order` in
+/// [2, kMaxPmeOrder], every grid dimension a power of two and at least
+/// `order`. full_elec_error applies it, and so do the Pme and PmeSlabPlan
+/// constructors, in every build.
+const char* pme_grid_error(int grid_x, int grid_y, int grid_z, int order);
 
 /// Validates `fe` (when enabled): returns nullptr if usable, else a static
 /// string naming the offending field. Used by scenario parsing and engine

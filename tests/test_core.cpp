@@ -397,6 +397,19 @@ TEST(ParallelConfigTest, RejectsUnrunnableConfigurationsWithNamedErrors) {
   Workload edited(mol, MachineModel::asci_red(), tiled.nonbonded);
   edited.nonbonded.full_elec = bad.full_elec;
   rejects(edited, des, "grid_x");
+
+  // PME slab options are named, never clamped: 0 slabs used to run one, and
+  // negative dedicated ranks used to mean none.
+  for (const ParallelOptions& base : {threads, process, des}) {
+    for (int slabs : {0, -1}) {
+      ParallelOptions o = base;
+      o.pme.slabs = slabs;
+      rejects(tiled, o, "pme.slabs");
+    }
+    ParallelOptions o = base;
+    o.pme.dedicated_ranks = -1;
+    rejects(tiled, o, "pme.dedicated_ranks");
+  }
 }
 
 // sim() names its error off the DES instead of dereferencing a null machine;

@@ -2,6 +2,9 @@
 
 #include <cmath>
 #include <complex>
+#include <cstring>
+#include <stdexcept>
+#include <string>
 
 #include "ewald/ewald.hpp"
 #include "ewald/fft.hpp"
@@ -21,19 +24,44 @@ namespace {
 // ---------------------------------------------------------------------------
 
 TEST(FftTest, MatchesDirectDft) {
+  // Every supported size, both directions, on a line alone and on a strided
+  // line inside a larger array whose other entries must stay untouched.
   Rng rng(3);
-  std::vector<std::complex<double>> data(16);
-  for (auto& d : data) d = {rng.uniform(-1, 1), rng.uniform(-1, 1)};
-  auto reference = data;
-  fft(data, false);
-  for (std::size_t k = 0; k < reference.size(); ++k) {
-    std::complex<double> sum{0, 0};
-    for (std::size_t n = 0; n < reference.size(); ++n) {
-      const double phase = -2.0 * M_PI * static_cast<double>(k * n) / 16.0;
-      sum += reference[n] * std::complex<double>(std::cos(phase), std::sin(phase));
+  for (int n = 1; n <= 256; n *= 2) {
+    const FftPlan plan(n);
+    ASSERT_EQ(plan.size(), n);
+    for (const bool inverse : {false, true}) {
+      for (const std::size_t stride : {std::size_t{1}, std::size_t{3}}) {
+        std::vector<std::complex<double>> data(static_cast<std::size_t>(n) * stride + 2);
+        for (auto& d : data) d = {rng.uniform(-1, 1), rng.uniform(-1, 1)};
+        const auto reference = data;
+        plan.transform(data.data() + 1, stride, inverse);
+        const double sign = inverse ? 2.0 : -2.0;
+        for (std::size_t i = 0; i < data.size(); ++i) {
+          const bool on_line = i >= 1 && (i - 1) % stride == 0 &&
+                               (i - 1) / stride < static_cast<std::size_t>(n);
+          if (!on_line) {
+            EXPECT_EQ(data[i], reference[i]) << "n " << n << " stride " << stride << " i " << i;
+          }
+        }
+        for (int k = 0; k < n; ++k) {
+          std::complex<double> sum{0, 0};
+          for (int j = 0; j < n; ++j) {
+            const double phase =
+                sign * M_PI * static_cast<double>((static_cast<long>(k) * j) % n) / n;
+            sum += reference[1 + static_cast<std::size_t>(j) * stride] *
+                   std::complex<double>(std::cos(phase), std::sin(phase));
+          }
+          EXPECT_NEAR(std::abs(data[1 + static_cast<std::size_t>(k) * stride] - sum), 0.0,
+                      1e-12 * n)
+              << "n " << n << (inverse ? " inverse" : " forward") << " stride "
+              << stride << " k " << k;
+        }
+      }
     }
-    EXPECT_NEAR(std::abs(data[k] - sum), 0.0, 1e-10) << k;
   }
+  EXPECT_THROW(FftPlan(0), std::invalid_argument);
+  EXPECT_THROW(FftPlan(12), std::invalid_argument);
 }
 
 TEST(FftTest, RoundTripIdentity) {
@@ -41,8 +69,9 @@ TEST(FftTest, RoundTripIdentity) {
   std::vector<std::complex<double>> data(64);
   for (auto& d : data) d = {rng.uniform(-1, 1), rng.uniform(-1, 1)};
   const auto original = data;
-  fft(data, false);
-  fft(data, true);
+  const FftPlan plan(64);
+  plan.transform(data.data(), 1, false);
+  plan.transform(data.data(), 1, true);
   for (std::size_t i = 0; i < data.size(); ++i) {
     EXPECT_NEAR(std::abs(data[i] / 64.0 - original[i]), 0.0, 1e-12);
   }
@@ -56,7 +85,7 @@ TEST(FftTest, ParsevalHolds) {
     d = {rng.uniform(-1, 1), rng.uniform(-1, 1)};
     time_energy += std::norm(d);
   }
-  fft(data, false);
+  FftPlan(32).transform(data.data(), 1, false);
   double freq_energy = 0.0;
   for (const auto& d : data) freq_energy += std::norm(d);
   EXPECT_NEAR(freq_energy / 32.0, time_energy, 1e-10);
@@ -67,8 +96,9 @@ TEST(FftTest, ThreeDRoundTrip) {
   std::vector<std::complex<double>> grid(8 * 4 * 16);
   for (auto& g : grid) g = {rng.uniform(-1, 1), 0.0};
   const auto original = grid;
-  fft3d(grid, 8, 4, 16, false);
-  fft3d(grid, 8, 4, 16, true);
+  const FftPlan x(8), y(4), z(16);
+  fft3d(grid, x, y, z, false);
+  fft3d(grid, x, y, z, true);
   const double n = 8.0 * 4.0 * 16.0;
   for (std::size_t i = 0; i < grid.size(); ++i) {
     EXPECT_NEAR(std::abs(grid[i] / n - original[i]), 0.0, 1e-11);
@@ -376,10 +406,13 @@ double run_slab_pipeline(const PmeSlabPlan& plan, std::span<const Vec3> pos,
       static_cast<std::size_t>(s_count));
   std::vector<std::vector<std::complex<double>>> columns(
       static_cast<std::size_t>(s_count));
+  std::vector<std::vector<PmeStencil>> stencils(static_cast<std::size_t>(s_count));
   for (int s = 0; s < s_count; ++s) {
     planes[static_cast<std::size_t>(s)].assign(plan.plane_points(s), {0.0, 0.0});
     columns[static_cast<std::size_t>(s)].assign(plan.column_points(s), {0.0, 0.0});
-    plan.spread(s, pos, q, planes[static_cast<std::size_t>(s)]);
+    plan.stencils(s, pos, stencils[static_cast<std::size_t>(s)]);
+    plan.spread(s, stencils[static_cast<std::size_t>(s)], q,
+                planes[static_cast<std::size_t>(s)]);
     plan.plane_fft(s, planes[static_cast<std::size_t>(s)], /*inverse=*/false);
   }
   for (int src = 0; src < s_count; ++src) {
@@ -402,7 +435,8 @@ double run_slab_pipeline(const PmeSlabPlan& plan, std::span<const Vec3> pos,
   }
   for (int s = 0; s < s_count; ++s) {
     plan.plane_fft(s, planes[static_cast<std::size_t>(s)], /*inverse=*/true);
-    plan.gather(s, pos, q, planes[static_cast<std::size_t>(s)], f);
+    plan.gather(s, stencils[static_cast<std::size_t>(s)], q,
+                planes[static_cast<std::size_t>(s)], f);
   }
   return energy;
 }
@@ -484,6 +518,103 @@ TEST(PmeSlabTest, SlabCountIsPartOfTheNumericsContract) {
     EXPECT_EQ(fa[i].y, fb[i].y);
     EXPECT_EQ(fa[i].z, fb[i].z);
   }
+}
+
+TEST(PmeSlabTest, SlabPlanesTileTheOneSlabGridBitwise) {
+  // Each slab builds stencils only for the atoms whose z-window reaches its
+  // planes; laid end to end, the slabs' spread planes must still be the
+  // one-slab grid bit for bit. A quarter of the atoms sit just above z = 0
+  // and a quarter just below z = box, so their stencils wrap.
+  Rng rng(99);
+  const Vec3 box{13, 11, 12};
+  std::vector<Vec3> pos;
+  std::vector<double> q;
+  for (int i = 0; i < 40; ++i) {
+    Vec3 r = rng.point_in_box(box);
+    if (i % 4 == 0) r.z = rng.uniform(0.0, 0.3);
+    if (i % 4 == 1) r.z = box.z - rng.uniform(0.0, 0.3);
+    pos.push_back(r);
+    q.push_back(rng.uniform(-1.0, 1.0));
+  }
+  for (int order : {4, 6}) {
+    PmeOptions po;
+    po.grid_x = 16;
+    po.grid_y = 8;
+    po.grid_z = 16;
+    po.order = order;
+    const PmeSlabPlan whole(box, po, 1);
+    std::vector<PmeStencil> stencils;
+    whole.stencils(0, pos, stencils);
+    ASSERT_EQ(stencils.size(), pos.size());
+    std::vector<std::complex<double>> grid(whole.plane_points(0));
+    whole.spread(0, stencils, q, grid);
+
+    for (int slabs : {2, 3, 4, 7}) {
+      const PmeSlabPlan plan(box, po, slabs);
+      std::vector<std::complex<double>> tiled;
+      std::size_t built = 0;
+      for (int s = 0; s < slabs; ++s) {
+        plan.stencils(s, pos, stencils);
+        built += stencils.size();
+        std::vector<std::complex<double>> planes(plan.plane_points(s));
+        plan.spread(s, stencils, q, planes);
+        tiled.insert(tiled.end(), planes.begin(), planes.end());
+        if (s == slabs - 1) {
+          // The atoms just above z = 0 wrap onto the top planes.
+          bool wrapped = false;
+          for (const PmeStencil& st : stencils) wrapped = wrapped || st.atom % 4 == 0;
+          EXPECT_TRUE(wrapped) << "order " << order << " slabs " << slabs;
+        }
+      }
+      EXPECT_LT(built, static_cast<std::size_t>(slabs) * pos.size())
+          << "order " << order << " slabs " << slabs << ": no atom was filtered";
+      ASSERT_EQ(tiled.size(), grid.size());
+      EXPECT_EQ(std::memcmp(tiled.data(), grid.data(),
+                            grid.size() * sizeof(std::complex<double>)),
+                0)
+          << "order " << order << " slabs " << slabs;
+    }
+  }
+}
+
+// The unit label builds with -DNDEBUG, so these checks must hold there:
+// order 9 would write past the 8-wide stencil arrays.
+TEST(PmeSlabTest, ConstructorsRejectBadOptionsInEveryBuild) {
+  const Vec3 box{12, 12, 12};
+  const auto expect_invalid = [](const auto& make, const char* rule) {
+    try {
+      make();
+      ADD_FAILURE() << "accepted; expected an error naming '" << rule << "'";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(rule), std::string::npos) << e.what();
+    }
+  };
+  PmeOptions ok;
+  ok.grid_x = ok.grid_y = ok.grid_z = 8;
+  EXPECT_NO_THROW((void)Pme(box, ok));
+  EXPECT_NO_THROW((void)PmeSlabPlan(box, ok, 3));
+
+  struct Bad {
+    const char* rule;
+    void (*edit)(PmeOptions&);
+  };
+  const Bad bad[] = {
+      {"order", [](PmeOptions& o) { o.order = 9; }},
+      {"order", [](PmeOptions& o) { o.order = 1; }},
+      {"grid_x", [](PmeOptions& o) { o.grid_x = 12; }},
+      {"grid_y", [](PmeOptions& o) { o.grid_y = 0; }},
+      {"grid_z", [](PmeOptions& o) { o.grid_z = -8; }},
+      {"order", [](PmeOptions& o) { o.grid_y = 4, o.order = 6; }},
+  };
+  for (const Bad& b : bad) {
+    PmeOptions o = ok;
+    b.edit(o);
+    EXPECT_NE(pme_grid_error(o.grid_x, o.grid_y, o.grid_z, o.order), nullptr);
+    expect_invalid([&] { (void)Pme(box, o); }, b.rule);
+    expect_invalid([&] { (void)PmeSlabPlan(box, o, 2); }, b.rule);
+  }
+  expect_invalid([&] { (void)PmeSlabPlan(box, ok, 0); }, "slab");
+  expect_invalid([&] { (void)PmeSlabPlan(box, ok, -2); }, "slab");
 }
 
 // ---------------------------------------------------------------------------

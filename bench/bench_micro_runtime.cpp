@@ -165,12 +165,12 @@ BackendRun run_backend_once(const Workload& wl, BackendKind backend, int pes,
   r.steps = steps;
   r.window_seconds = sim.backend().time() - t0;
   r.seconds_per_step = sim.seconds_per_step_tail(steps);
-  // A cycle of `steps` steps evaluates forces steps + 1 times.
-  r.audit = actual_audit(prof, r.window_seconds, pes, steps + 1);
-  r.ideal = ideal_audit(sim.ideal_nonbonded_seconds() * (steps + 1),
-                        sim.ideal_bonded_seconds() * (steps + 1),
-                        sim.ideal_integration_seconds() * (steps + 1), pes,
-                        steps + 1);
+  // The timed cycle follows complete ones, so it opens on carried forces
+  // and evaluates them once per step.
+  r.audit = actual_audit(prof, r.window_seconds, pes, steps);
+  r.ideal = ideal_audit(sim.ideal_nonbonded_seconds() * steps,
+                        sim.ideal_bonded_seconds() * steps,
+                        sim.ideal_integration_seconds() * steps, pes, steps);
   return r;
 }
 

@@ -212,8 +212,9 @@ void InvariantChecker::observe_cycle(const ParallelSim& sim) {
   }
 
   // Reduction completeness: one reduction round per completed global step
-  // (each cycle contributes steps + 1 rounds, including its bootstrap step),
-  // which is exactly the step-completion history length.
+  // (each cycle contributes steps + 1 rounds, one per step record from its
+  // step 0 through its closing half-kick), which is exactly the
+  // step-completion history length.
   ++checks_run_;
   const double rounds = static_cast<double>(sim.reduction_results().size());
   const double want = static_cast<double>(sim.step_completion().size());

@@ -620,8 +620,11 @@ void ParallelSim::run_compute(ExecContext& ctx, int compute) {
   const int pe = ctx.pe();
 
   if (opts_.numeric) {
+    // The step comes from a patch this compute reads this round: after atom
+    // migration a bonded compute's first planned patch may no longer be one
+    // of its dependencies, and that patch can be a round ahead or behind.
     const int step_global = step_base_ + patches_[static_cast<std::size_t>(
-                                             desc.patches[0])].step;
+                                             rt.deps[0])].step;
     // The compute evaluates into the PE's zeroed double scratch, one buffer
     // per dependency patch, and adds the result to that patch's proxy
     // accumulator in fixed point.
@@ -737,9 +740,10 @@ void ParallelSim::advance(ExecContext& ctx, int patch) {
 
   const double dt = opts_.dt_fs / units::kAkmaTimeFs;
   double reduction_value = 1.0;
-  if (opts_.numeric && !fold_arrival()) {
+  if (opts_.numeric && !fold_arrival() && !(s == 0 && carried_)) {
     // Every contribution of the round is in: convert the exact sum once and
-    // rearm the accumulator for the next round.
+    // rearm the accumulator for the next round. A cycle that opens on
+    // carried forces ran no round 0; frc already holds them.
     for (std::size_t i = 0; i < pr.frc.size(); ++i) {
       pr.frc[i] = pr.acc[i].to_vec3();
       pr.acc[i] = FixedVec3{};
@@ -1085,14 +1089,23 @@ void ParallelSim::on_pme_force(ExecContext& ctx, int patch, const std::vector<Ve
 // ---------------------------------------------------------------------------
 
 void ParallelSim::attempt_cycle(int steps) {
+  // A completed cycle leaves every patch holding its closing round's forces
+  // at its final positions (migrate_atoms moves them with the atoms, and
+  // checkpoints and export_state keep them), so the next cycle opens on
+  // them instead of recomputing them: one force round per step. A fresh
+  // sim, a cycle after an incomplete one, and frozen mode (no forces to
+  // carry) run the opening round. The rule reads only state, so a restored
+  // or imported sim decides exactly as the uninterrupted one did.
+  carried_ = opts_.numeric && global_steps_ > 0 && last_cycle_complete();
   cycle_target_ = steps;
   step_base_ = static_cast<int>(step_completion_.size());
   step_completion_.resize(static_cast<std::size_t>(step_base_ + steps + 1), 0.0);
   step_last_advance_.resize(static_cast<std::size_t>(step_base_ + steps + 1), 0.0);
   steps_done_counter_.resize(static_cast<std::size_t>(step_base_ + steps + 1), 0);
   if (opts_.numeric) {
-    // One slot per (compute, local step); a cycle of T steps runs T + 1
-    // force rounds (bootstrap step 0 through the closing half-kick at T).
+    // One slot per (compute, local step) for steps 0 through the closing
+    // half-kick at T. Step 0's slots stay empty when the cycle opens on
+    // carried forces.
     potential_scratch_.assign(
         computes_.size() * static_cast<std::size_t>(steps + 1), EnergyTerms{});
   }
@@ -1108,7 +1121,7 @@ void ParallelSim::attempt_cycle(int steps) {
     }
     for (int s = 0; s < s_count; ++s) {
       PmeSlabRt& rt = pme_slabs_[static_cast<std::size_t>(s)];
-      rt.step = 0;
+      rt.step = carried_ ? 1 : 0;
       rt.atoms_pending = static_cast<int>(patches_.size());
       rt.fwd_pending = s_count;
       rt.bwd_pending = s_count;
@@ -1126,12 +1139,17 @@ void ParallelSim::attempt_cycle(int steps) {
     PatchRt& pr = patches_[p];
     pr.step = 0;
     pr.contrib_received = 0;
-    if (opts_.numeric) std::fill(pr.frc.begin(), pr.frc.end(), Vec3{});
     TaskMsg msg;
     msg.entry = e_advance_;
     msg.priority = -3;
     const int patch = static_cast<int>(p);
-    msg.fn = [this, patch](ExecContext& c) { publish_coords(c, patch); };
+    if (carried_) {
+      msg.fn = [this, patch](ExecContext& c) { advance(c, patch); };
+    } else {
+      // The injected defect sums round 0 straight into frc.
+      if (opts_.numeric) std::fill(pr.frc.begin(), pr.frc.end(), Vec3{});
+      msg.fn = [this, patch](ExecContext& c) { publish_coords(c, patch); };
+    }
     exec_->inject(patch_home_[p], std::move(msg), t0);
   }
   exec_->run();
@@ -1164,6 +1182,12 @@ void ParallelSim::attempt_cycle(int steps) {
     potential_per_step_.resize(static_cast<std::size_t>(step_base_ + steps + 1),
                                EnergyTerms{});
     for (int s = 0; s <= steps; ++s) {
+      if (s == 0 && carried_) {
+        // No opening round ran; its positions are the last closing round's.
+        potential_per_step_[static_cast<std::size_t>(step_base_)] =
+            potential_terms_at_step(step_base_ - 1);
+        continue;
+      }
       EnergyTerms sum;
       for (std::size_t c = 0; c < computes_.size(); ++c) {
         sum += potential_scratch_[c * static_cast<std::size_t>(steps + 1) +

@@ -195,10 +195,15 @@ class ParallelSim {
   /// steady-state seconds per step of the timed cycle.
   double run_benchmark(int measure_steps = 3, int timed_steps = 5);
 
-  /// Runs one pipelined cycle of `steps` timesteps and quiesces. In numeric
-  /// mode, atoms that left their patch cube migrate afterwards. Throws
-  /// ParallelConfigError when steps < 1, and ForceRangeError when a force
-  /// left the fixed-point range during the cycle.
+  /// Runs one pipelined cycle of `steps` timesteps and quiesces. The cycle
+  /// records steps + 1 step entries (step 0 through the closing half-kick)
+  /// and evaluates forces once per step: in numeric mode it opens on the
+  /// forces the last cycle closed with. A fresh sim, a cycle after an
+  /// incomplete one, and frozen mode run an opening force round as well,
+  /// steps + 1 rounds in all. In numeric mode, atoms that left their patch
+  /// cube migrate afterwards. Throws ParallelConfigError when steps < 1, and
+  /// ForceRangeError when a force left the fixed-point range during the
+  /// cycle.
   void run_cycle(int steps);
 
   /// Applies the configured strategy (greedy and/or refine) using loads
@@ -222,8 +227,10 @@ class ParallelSim {
   /// step_completion()[s], or 0.0 when `s` is out of range — never UB.
   double step_completion_at(int s) const;
 
-  /// Steady-state s/step over the last `steps` completed steps
-  /// (difference of completion times, excluding the cycle's bootstrap step).
+  /// Steady-state s/step over the last `steps` completed steps: the
+  /// difference of completion times, which leaves out the cycle's step 0
+  /// (its opening force round, or only the opening half-kick when the cycle
+  /// opens on carried forces).
   /// Out-of-range requests clamp: fewer than two recorded steps give 0.0,
   /// and `steps` is clamped to the recorded span.
   double seconds_per_step_tail(int steps) const;
@@ -470,6 +477,9 @@ class ParallelSim {
   Rng noise_rng_{0xC0FFEE};
 
   int cycle_target_ = 0;       // per-cycle steps
+  /// The running cycle opens on the forces the last one closed with: it runs
+  /// no round 0, and advance() kicks step 0 with the carried frc.
+  bool carried_ = false;
   int global_steps_ = 0;       // completed steps across cycles
   int step_base_ = 0;          // global index of the current cycle's step 0
   std::vector<int> steps_done_counter_;

@@ -43,11 +43,6 @@ void FftPlan::transform(std::complex<double>* data, std::size_t stride,
   }
   const std::vector<std::complex<double>>& twiddles = inverse ? inverse_ : forward_;
   const auto n = static_cast<std::size_t>(n_);
-  // The twiddle loop runs outside the block loop, so `w` is loop-invariant.
-  // That fixes the bits on FMA hosts: gcc compiles the complex product to
-  // vfmaddsub despite -ffp-contract=off, and the loop shape decides which
-  // factor it broadcasts, hence which product stays unrounded. Other shapes
-  // broadcast the data instead and move every PME trajectory bit.
   for (std::size_t half = 1; half < n; half <<= 1) {
     for (std::size_t k = 0; k < half; ++k) {
       const std::complex<double> w = twiddles[half - 1 + k];
@@ -55,7 +50,14 @@ void FftPlan::transform(std::complex<double>* data, std::size_t stride,
         std::complex<double>& lo = data[i * stride];
         std::complex<double>& hi = data[(i + half) * stride];
         const std::complex<double> u = lo;
-        const std::complex<double> v = hi * w;
+        // hi * w in real arithmetic, with libstdc++'s rounding:
+        // (a+ib)(c+id) = (ac - bd) + i(ad + bc). gcc compiles the
+        // std::complex product to vfmaddsub on FMA hosts despite
+        // -ffp-contract=off, which would tie the bits to the host ISA.
+        const double a = hi.real();
+        const double b = hi.imag();
+        const std::complex<double> v(a * w.real() - b * w.imag(),
+                                     a * w.imag() + b * w.real());
         lo = u + v;
         hi = u - v;
       }

@@ -81,4 +81,46 @@ BenchReport load_report(const std::string& path) {
   }
 }
 
+BenchReport load_perfbench_runs(const std::string& path) {
+  std::ifstream is(path);
+  if (!is) throw std::runtime_error("load_perfbench_runs: cannot open " + path);
+  constexpr const char* kEndToEnd[] = {"step_ms", "table_s", "setup_s", "peak_rss_mb"};
+  BenchReport report;
+  report.suite = "perfbench";
+  for (const char* name : kEndToEnd) {
+    BenchRecord r;
+    r.name = name;
+    r.metric = "median in run";
+    report.benchmarks.push_back(std::move(r));
+  }
+  BenchRecord failed;
+  failed.name = "failed_ops";
+  failed.metric = "count";
+  failed.unit = "ops";
+  failed.deterministic = true;
+
+  std::string line;
+  for (int lineno = 1; std::getline(is, line); ++lineno) {
+    const std::size_t first = line.find_first_not_of(" \t\r");
+    if (first == std::string::npos || line[first] != '{') continue;
+    try {
+      const JsonValue run = JsonValue::parse(line);
+      const JsonValue& metrics = run.at("metrics");
+      for (BenchRecord& r : report.benchmarks) {
+        const JsonValue& m = metrics.at(r.name);
+        r.samples.push_back(m.at("value").as_number());
+        r.unit = m.at("unit").as_string();
+      }
+      failed.samples.push_back(run.at("failed").as_number());
+    } catch (const JsonError& e) {
+      throw BenchSchemaError(path + ":" + std::to_string(lineno) +
+                             ": not a perfbench result line: " + e.what());
+    }
+  }
+  if (failed.samples.empty()) throw BenchSchemaError(path + ": no perfbench result line");
+  report.benchmarks.push_back(std::move(failed));
+  for (BenchRecord& r : report.benchmarks) r.finalize();
+  return report;
+}
+
 }  // namespace scalemd::perf

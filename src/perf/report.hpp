@@ -45,4 +45,14 @@ BenchReport make_report(const std::string& suite);
 void save_report(const BenchReport& report, const std::string& path);
 BenchReport load_report(const std::string& path);
 
+/// Loads a file of perfbench result lines, one run per line, all runs of one
+/// workload (`perfbench/run.py` ends its output with one such line). Lines
+/// that do not start with '{' are skipped, so whole run outputs load too.
+/// Each end-to-end metric (step_ms, table_s, setup_s, peak_rss_mb) becomes a
+/// record whose samples are the runs' values, and the runs' failed-operation
+/// counts become the deterministic record `failed_ops`. Throws
+/// BenchSchemaError naming the line when a result line does not parse or
+/// lacks a field, and when the file holds no result line.
+BenchReport load_perfbench_runs(const std::string& path);
+
 }  // namespace scalemd::perf

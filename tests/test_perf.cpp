@@ -180,6 +180,69 @@ TEST(BenchReportTest, RejectsWrongMagicAndNewerVersion) {
   EXPECT_THROW(BenchReport::from_json(j2), BenchSchemaError);
 }
 
+// perfbench result lines: one run per line, the run's other output skipped.
+std::string perfbench_line(double step_ms, double failed) {
+  return "{\"correct\": true,\"attempted\": 6,\"failed\": " + std::to_string(failed) +
+         ",\"metrics\": {\"step_ms\": {\"value\": " + std::to_string(step_ms) +
+         ",\"unit\": \"ms\"},\"table_s\": {\"value\": " + std::to_string(step_ms / 200) +
+         ",\"unit\": \"s\"},\"setup_s\": {\"value\": 2.5,\"unit\": \"s\"},"
+         "\"peak_rss_mb\": {\"value\": 58,\"unit\": \"MB\"}}}\n";
+}
+
+void write_file(const std::string& path, const std::string& text) {
+  std::FILE* f = std::fopen(path.c_str(), "w");
+  ASSERT_NE(f, nullptr);
+  std::fputs(text.c_str(), f);
+  std::fclose(f);
+}
+
+TEST(BenchReportTest, PerfbenchRunsLoadAsOneRecordPerMetric) {
+  const std::string path = testing::TempDir() + "scalemd_runs.jsonl";
+  write_file(path, "step_ms 230.0 ms median less steal\n" + perfbench_line(230.0, 0) +
+                       "operations: 6 attempted, 0 failed; correct: yes\n" +
+                       perfbench_line(190.0, 1) + "\n" + perfbench_line(210.0, 0));
+  const BenchReport runs = load_perfbench_runs(path);
+  std::remove(path.c_str());
+  ASSERT_EQ(runs.benchmarks.size(), 5u);
+  const BenchRecord* step = runs.find("step_ms");
+  ASSERT_NE(step, nullptr);
+  EXPECT_EQ(step->samples, (std::vector<double>{230.0, 190.0, 210.0}));
+  EXPECT_DOUBLE_EQ(step->median, 210.0);
+  EXPECT_EQ(step->unit, "ms");
+  EXPECT_FALSE(step->deterministic);
+  ASSERT_NE(runs.find("table_s"), nullptr);
+  EXPECT_DOUBLE_EQ(runs.find("table_s")->median, 1.05);
+  EXPECT_DOUBLE_EQ(runs.find("setup_s")->median, 2.5);
+  EXPECT_DOUBLE_EQ(runs.find("peak_rss_mb")->median, 58.0);
+  const BenchRecord* failed = runs.find("failed_ops");
+  ASSERT_NE(failed, nullptr);
+  EXPECT_TRUE(failed->deterministic);
+  EXPECT_EQ(failed->samples, (std::vector<double>{0.0, 1.0, 0.0}));
+  EXPECT_DOUBLE_EQ(failed->median, 0.0);
+
+  // The parent's runs against themselves pass the benchmark's own bound.
+  CompareOptions bound;
+  bound.rel_min = 0.25;
+  EXPECT_FALSE(compare_reports(runs, runs, bound).failed);
+}
+
+TEST(BenchReportTest, MalformedPerfbenchLineThrowsNamingItsLine) {
+  const std::string path = testing::TempDir() + "scalemd_bad_runs.jsonl";
+  write_file(path, perfbench_line(200.0, 0) + "cycle ms/step\n{\"failed\": 0, \"metrics\": {\n");
+  try {
+    load_perfbench_runs(path);
+    ADD_FAILURE() << "no BenchSchemaError";
+  } catch (const BenchSchemaError& e) {
+    EXPECT_NE(std::string(e.what()).find(path + ":3:"), std::string::npos) << e.what();
+  }
+  // A result line without a field is malformed too.
+  write_file(path, "{\"failed\": 0, \"metrics\": {}}\n");
+  EXPECT_THROW(load_perfbench_runs(path), BenchSchemaError);
+  write_file(path, "no runs here\n");
+  EXPECT_THROW(load_perfbench_runs(path), BenchSchemaError);
+  std::remove(path.c_str());
+}
+
 TEST(BenchReportTest, MergeAppendsRecordsKeepsReceiverIdentity) {
   BenchReport a = make_report("smoke");
   BenchRunner ra;

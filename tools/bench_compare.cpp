@@ -1,8 +1,10 @@
 // bench_compare: the noise-aware regression gate over two scalemd-bench
-// artifacts.
+// artifacts, or over two files of perfbench result lines (one run per line,
+// one workload per file; see load_perfbench_runs).
 //
 //   bench_compare baseline.json candidate.json [--rel-min F] [--mad-k F]
 //                 [--allow-missing]
+//   bench_compare parent.jsonl change.jsonl --rel-min 0.25
 //
 // A benchmark regresses only when candidate_median - baseline_median exceeds
 // max(rel_min * baseline_median, mad_k * baseline_MAD): the relative floor
@@ -24,6 +26,22 @@
 #include "perf/report.hpp"
 
 namespace {
+
+/// A scalemd-bench artifact, or else a file of perfbench result lines. When
+/// the file is neither, both reasons are reported.
+scalemd::perf::BenchReport load_input(const std::string& path) {
+  using scalemd::perf::BenchSchemaError;
+  try {
+    return scalemd::perf::load_report(path);
+  } catch (const BenchSchemaError& as_report) {
+    try {
+      return scalemd::perf::load_perfbench_runs(path);
+    } catch (const BenchSchemaError& as_runs) {
+      throw BenchSchemaError(std::string(as_report.what()) +
+                             "; read as perfbench runs: " + as_runs.what());
+    }
+  }
+}
 
 int usage(const char* argv0) {
   std::fprintf(stderr,
@@ -63,8 +81,8 @@ int main(int argc, char** argv) {
   if (paths.size() != 2) return usage(argv[0]);
 
   try {
-    const BenchReport baseline = load_report(paths[0]);
-    const BenchReport candidate = load_report(paths[1]);
+    const BenchReport baseline = load_input(paths[0]);
+    const BenchReport candidate = load_input(paths[1]);
     const CompareResult result = compare_reports(baseline, candidate, opts);
     std::printf("%s", render_comparison(result).c_str());
     if (result.failed) {

@@ -2,8 +2,9 @@
 //
 // Default: per-layer runtime records through the shared BenchRunner — DES
 // event throughput, a remote-message chain, multicast sender cost (naive vs
-// optimized — section 4.2.3 at the microscope), and reduction trees —
-// printed one line per record ("layers/...").
+// optimized — section 4.2.3 at the microscope), reduction trees, and the
+// load-balancing strategies' wall time — printed one line per record
+// ("layers/...").
 //
 // Backend mode (`--backend sim|threads`, also `--backend=...`): runs the
 // waterbox through the full parallel runtime on the chosen execution
@@ -34,13 +35,67 @@
 #include "des/simulator.hpp"
 #include "ff/nonbonded_tiled.hpp"
 #include "gen/water_box.hpp"
+#include "lb/greedy.hpp"
+#include "lb/refine.hpp"
 #include "rts/multicast.hpp"
 #include "rts/reduction.hpp"
 #include "trace/audit.hpp"
 #include "trace/summary.hpp"
+#include "util/random.hpp"
 
 namespace scalemd {
 namespace {
+
+/// A seeded stand-in for the ApoA-I strategy input: 245 patches on a 7x7x5
+/// grid, homed round-robin, each with four self pieces, one intra-patch
+/// bonded object and a pair object per upper neighbor (13 in the interior;
+/// face pairs split in two), loads drawn from the seed. Home PEs carry the
+/// patches' integration as background.
+LbProblem apoa1_like_lb_problem(int pes, std::uint64_t seed) {
+  constexpr int kNx = 7, kNy = 7, kNz = 5;
+  Rng rng(seed);
+  LbProblem p;
+  p.num_pes = pes;
+  p.background.assign(static_cast<std::size_t>(pes), 0.0);
+  const auto id = [](int x, int y, int z) { return (x * kNy + y) * kNz + z; };
+  for (int patch = 0; patch < kNx * kNy * kNz; ++patch) {
+    p.patch_home.push_back(patch % pes);
+    p.background[static_cast<std::size_t>(patch % pes)] += rng.uniform(0.4e-3, 0.6e-3);
+  }
+  const auto add = [&](int a, int b, double lo, double hi) {
+    p.objects.push_back({.load = rng.uniform(lo, hi),
+                         .current_pe = p.patch_home[static_cast<std::size_t>(a)],
+                         .patch_a = a,
+                         .patch_b = b});
+  };
+  for (int x = 0; x < kNx; ++x) {
+    for (int y = 0; y < kNy; ++y) {
+      for (int z = 0; z < kNz; ++z) {
+        const int a = id(x, y, z);
+        for (int k = 0; k < 4; ++k) add(a, -1, 4e-3, 8e-3);
+        add(a, -1, 0.5e-3, 1.5e-3);
+        for (int dx = 0; dx <= 1; ++dx) {
+          for (int dy = -1; dy <= 1; ++dy) {
+            for (int dz = -1; dz <= 1; ++dz) {
+              const bool upper = dx > 0 || (dx == 0 && (dy > 0 || (dy == 0 && dz > 0)));
+              const int bx = x + dx, by = y + dy, bz = z + dz;
+              if (!upper || bx >= kNx || by < 0 || by >= kNy || bz < 0 || bz >= kNz) continue;
+              const int b = id(bx, by, bz);
+              const int shared_axes = (dx == 0) + (dy == 0) + (dz == 0);
+              if (shared_axes == 2) {  // face neighbor: split in two
+                add(a, b, 5e-3, 9e-3);
+                add(a, b, 5e-3, 9e-3);
+              } else {
+                add(a, b, shared_axes == 1 ? 2e-3 : 0.2e-3, shared_axes == 1 ? 4e-3 : 0.6e-3);
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+  return p;
+}
 
 /// Records the runtime layer on the DES: each call builds a machine,
 /// injects its work and drains it.
@@ -117,6 +172,29 @@ void run_layers(const perf::BenchOptions& opts) {
     bench::time_calibrated(runner, "layers/reduction_tree/pes=" + std::to_string(pes),
                            run)
         .param("pes", pes);
+  }
+
+  // The load balancer's strategies on ApoA-I-sized input: greedy from
+  // scratch, then refine from greedy's map after the loads have drifted.
+  for (int pes : {1024, 2048}) {
+    const LbProblem problem = apoa1_like_lb_problem(pes, 20);
+    bench::time_calibrated(runner, "layers/lb_greedy/pes=" + std::to_string(pes), [&] {
+      bench::keep(greedy_comm_map(problem).back());
+    })
+        .param("pes", pes)
+        .param("objects", static_cast<double>(problem.objects.size()));
+  }
+  {
+    constexpr int kPes = 2048;
+    LbProblem drifted = apoa1_like_lb_problem(kPes, 20);
+    const LbAssignment start = greedy_comm_map(drifted);
+    Rng rng(21);
+    for (LbObject& o : drifted.objects) o.load *= rng.uniform(0.9, 1.1);
+    bench::time_calibrated(runner, "layers/lb_refine/pes=" + std::to_string(kPes), [&] {
+      bench::keep(refine_map(drifted, start, 1.03).back());
+    })
+        .param("pes", kPes)
+        .param("objects", static_cast<double>(drifted.objects.size()));
   }
 
   bench::print_records(runner.records());

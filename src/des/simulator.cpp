@@ -52,9 +52,7 @@ class DesContext final : public ExecContext {
 };
 
 Simulator::Simulator(int num_pes, const MachineModel& machine)
-    : machine_(machine), pes_(static_cast<std::size_t>(num_pes)) {
-  assert(num_pes > 0);
-}
+    : machine_(machine), pes_(static_cast<std::size_t>(checked_num_pes(num_pes))) {}
 
 void Simulator::set_fault_plan(const FaultPlan& plan) {
   plan_ = plan;
@@ -95,7 +93,7 @@ void Simulator::apply_pe_faults(double now) {
       p.failed = true;
       // Everything queued on the dying PE is lost with it.
       const auto lost = static_cast<std::uint64_t>(p.ready.size());
-      while (!p.ready.empty()) p.ready.pop();
+      for (; !p.ready.empty(); p.ready.pop()) release(p.ready.top().slot);
       acct_.pending_ready -= lost;
       acct_.discarded_dead_pe += lost;
       fault_stats_.discarded_dead_pe += lost;
@@ -111,7 +109,24 @@ void Simulator::apply_pe_faults(double now) {
 }
 
 void Simulator::inject(int pe, TaskMsg msg, double time) {
+  check_pe(pe, num_pes());
   deliver(/*src_pe=*/pe, pe, std::move(msg), time, time, /*remote=*/false);
+}
+
+std::uint32_t Simulator::park(Parked p) {
+  if (free_slots_.empty()) {
+    pool_.push_back(std::move(p));
+    return static_cast<std::uint32_t>(pool_.size() - 1);
+  }
+  const std::uint32_t slot = free_slots_.back();
+  free_slots_.pop_back();
+  pool_[slot] = std::move(p);
+  return slot;
+}
+
+void Simulator::release(std::uint32_t slot) {
+  pool_[slot].msg = TaskMsg{};
+  free_slots_.push_back(slot);
 }
 
 void Simulator::deliver(int src_pe, int dst_pe, TaskMsg msg, double send_time,
@@ -142,55 +157,47 @@ void Simulator::deliver(int src_pe, int dst_pe, TaskMsg msg, double send_time,
       record_fault({FaultKind::kMessageDelay, dst_pe, src_pe, send_time, spike});
     }
   }
-  Event ev;
-  ev.time = arrive_time;
-  ev.kind = EventKind::kArrival;
-  ev.seq = seq_++;
-  ev.pe = dst_pe;
-  ev.ready = Ready{msg.priority, ev.seq, std::move(msg), src_pe, remote, send_time};
+  const int priority = msg.priority;
+  const std::uint64_t seq = seq_++;
   if (duplicate) {
-    Event copy = ev;
-    copy.seq = seq_++;
-    copy.ready.seq = copy.seq;
-    events_.push(std::move(copy));
+    // The copy parks on its own and arrives with the next sequence number.
+    const std::uint32_t copy = park({msg, src_pe, remote, send_time});
+    events_.push({arrive_time, seq_++, dst_pe, priority, copy, EventKind::kArrival});
     ++acct_.pending_network;
   }
-  events_.push(std::move(ev));
+  const std::uint32_t slot = park({std::move(msg), src_pe, remote, send_time});
+  events_.push({arrive_time, seq, dst_pe, priority, slot, EventKind::kArrival});
   ++acct_.pending_network;
 }
 
 void Simulator::schedule_dispatch(int pe, double time) {
-  Event ev;
-  ev.time = time;
-  ev.kind = EventKind::kDispatch;
-  ev.seq = seq_++;
-  ev.pe = pe;
-  events_.push(std::move(ev));
+  events_.push({time, seq_++, pe, 0, 0, EventKind::kDispatch});
 }
 
 void Simulator::run(double until) {
   while (!events_.empty()) {
     if (events_.top().time > until) break;
     if (next_pe_fault_ < pe_faults_.size()) apply_pe_faults(events_.top().time);
-    Event ev = std::move(const_cast<Event&>(events_.top()));
+    const Event ev = events_.top();
     events_.pop();
     Processor& p = pes_[static_cast<std::size_t>(ev.pe)];
     if (ev.kind == EventKind::kArrival) {
       --acct_.pending_network;
       if (p.failed) {
+        release(ev.slot);
         ++acct_.discarded_dead_pe;
         ++fault_stats_.discarded_dead_pe;
         continue;
       }
+      const Parked& m = pool_[ev.slot];
       if (sink_ != nullptr) {
-        sink_->on_message({ev.ready.src_pe, ev.pe, ev.ready.msg.entry,
-                           ev.ready.msg.bytes, ev.ready.sent_at, ev.time});
+        sink_->on_message({m.src_pe, ev.pe, m.msg.entry, m.msg.bytes, m.sent_at, ev.time});
       }
-      if (ev.ready.remote) {
+      if (m.remote) {
         ++remote_messages_;
-        remote_bytes_ += ev.ready.msg.bytes;
+        remote_bytes_ += m.msg.bytes;
       }
-      p.ready.push(std::move(ev.ready));
+      p.ready.push({ev.priority, ev.slot, ev.seq});
       ++acct_.pending_ready;
       if (!p.dispatch_pending) {
         p.dispatch_pending = true;
@@ -199,10 +206,10 @@ void Simulator::run(double until) {
     } else {
       p.dispatch_pending = false;
       if (p.failed || p.ready.empty()) continue;
-      Ready ready = std::move(const_cast<Ready&>(p.ready.top()));
+      const std::uint32_t slot = p.ready.top().slot;
       p.ready.pop();
       --acct_.pending_ready;
-      execute(ev.pe, std::move(ready), ev.time);
+      execute(ev.pe, slot, ev.time);
       if (!p.ready.empty()) {
         p.dispatch_pending = true;
         schedule_dispatch(ev.pe, p.busy_until);
@@ -211,16 +218,20 @@ void Simulator::run(double until) {
   }
 }
 
-void Simulator::execute(int pe, Ready ready, double start) {
+void Simulator::execute(int pe, std::uint32_t slot, double start) {
   Processor& p = pes_[static_cast<std::size_t>(pe)];
   assert(start >= p.busy_until);
 
+  // Out of the pool before the task runs: its sends park messages and may
+  // grow the pool.
+  Parked m = std::move(pool_[slot]);
+  release(slot);
   DesContext ctx(this, pe, start);
-  if (ready.remote) {
+  if (m.remote) {
     ctx.charge(machine_.recv_overhead);
     ctx.recv_cost_ = machine_.recv_overhead;
   }
-  ready.msg.fn(ctx);
+  m.msg.fn(ctx);
 
   // A slowdown factor of exactly 1.0 leaves the duration bit-identical
   // (IEEE multiplication by one is exact), so fault-free schedules match
@@ -233,8 +244,8 @@ void Simulator::execute(int pe, Ready ready, double start) {
   ++acct_.executed;
 
   if (sink_ != nullptr) {
-    sink_->on_task({pe, ready.msg.entry, ready.msg.object, start, duration,
-                    ctx.recv_cost_, ctx.pack_cost_, ctx.send_cost_});
+    sink_->on_task({pe, m.msg.entry, m.msg.object, start, duration, ctx.recv_cost_,
+                    ctx.pack_cost_, ctx.send_cost_});
   }
 }
 

@@ -30,6 +30,7 @@ class DesContext;
 /// is skipped and the schedule is identical to a fault-free build.
 class Simulator final : public ExecBackend {
  public:
+  /// Throws std::invalid_argument when `num_pes` < 1.
   Simulator(int num_pes, const MachineModel& machine);
 
   int num_pes() const override { return static_cast<int>(pes_.size()); }
@@ -41,7 +42,8 @@ class Simulator final : public ExecBackend {
   void set_sink(TraceSink* sink) override { sink_ = sink; }
 
   /// Injects a message arriving at `pe` at absolute virtual time `time`
-  /// (no send-side cost is charged; use for bootstrap messages).
+  /// (no send-side cost is charged; use for bootstrap messages). Throws
+  /// std::out_of_range for a PE off the machine.
   void inject(int pe, TaskMsg msg, double time = 0.0) override;
 
   /// Processes events until none remain.
@@ -100,18 +102,22 @@ class Simulator final : public ExecBackend {
  private:
   friend class DesContext;
 
-  // Initialized so a dispatch Event's unused payload copies without reading
-  // indeterminate values (UBSan flags the bool load in the copy otherwise).
-  struct Ready {
-    int priority = 0;
-    std::uint64_t seq = 0;
+  // A delivered message waits in a pool slot from deliver() to execute();
+  // the heaps order small trivially-copyable keys that name the slot, so no
+  // sift ever moves a message.
+  struct Parked {
     TaskMsg msg;
     int src_pe = -1;
     bool remote = false;
     double sent_at = 0.0;
   };
+  struct ReadyKey {
+    int priority;
+    std::uint32_t slot;
+    std::uint64_t seq;
+  };
   struct ReadyOrder {
-    bool operator()(const Ready& a, const Ready& b) const {
+    bool operator()(const ReadyKey& a, const ReadyKey& b) const {
       if (a.priority != b.priority) return a.priority > b.priority;  // min-heap
       return a.seq > b.seq;                                          // FIFO ties
     }
@@ -124,16 +130,17 @@ class Simulator final : public ExecBackend {
     double slowdown = 1.0;      ///< active task-time multiplier (fault engine)
     double out_nic_free = 0.0;  ///< when this PE's outgoing link frees up
     double in_nic_free = 0.0;   ///< when this PE's incoming link frees up
-    std::priority_queue<Ready, std::vector<Ready>, ReadyOrder> ready;
+    std::priority_queue<ReadyKey, std::vector<ReadyKey>, ReadyOrder> ready;
   };
   enum class EventKind : std::uint8_t { kArrival = 0, kDispatch = 1 };
+  /// A dispatch event carries no message (its slot and priority are unused).
   struct Event {
     double time;
-    EventKind kind;
     std::uint64_t seq;
     int pe;
-    // Arrival payload (unused for dispatch events).
-    Ready ready;
+    int priority;
+    std::uint32_t slot;
+    EventKind kind;
   };
   struct EventOrder {
     bool operator()(const Event& a, const Event& b) const {
@@ -143,10 +150,14 @@ class Simulator final : public ExecBackend {
     }
   };
 
+  /// Moves `p` into a free slot of the pool.
+  std::uint32_t park(Parked p);
+  /// Returns `slot` to the free list, dropping any message still in it.
+  void release(std::uint32_t slot);
   void schedule_dispatch(int pe, double time);
   void deliver(int src_pe, int dst_pe, TaskMsg msg, double send_time,
                double arrive_time, bool remote);
-  void execute(int pe, Ready ready, double start);
+  void execute(int pe, std::uint32_t slot, double start);
   /// Applies every scheduled PE fault whose time has come (<= now).
   void apply_pe_faults(double now);
 
@@ -155,6 +166,8 @@ class Simulator final : public ExecBackend {
   TraceSink* sink_ = nullptr;
   std::vector<Processor> pes_;
   std::priority_queue<Event, std::vector<Event>, EventOrder> events_;
+  std::vector<Parked> pool_;
+  std::vector<std::uint32_t> free_slots_;
   std::uint64_t seq_ = 0;
   double horizon_ = 0.0;
   std::uint64_t tasks_executed_ = 0;

@@ -1,6 +1,8 @@
 #include "rts/exec_backend.hpp"
 
 #include <cstring>
+#include <stdexcept>
+#include <string>
 
 namespace scalemd {
 
@@ -8,6 +10,20 @@ EntryId EntryRegistry::add(std::string name, WorkCategory category) {
   names_.push_back(std::move(name));
   categories_.push_back(category);
   return static_cast<EntryId>(names_.size()) - 1;
+}
+
+int checked_num_pes(int num_pes) {
+  if (num_pes < 1) {
+    throw std::invalid_argument("num_pes must be >= 1, got " + std::to_string(num_pes));
+  }
+  return num_pes;
+}
+
+void check_pe(int pe, int num_pes) {
+  if (pe < 0 || pe >= num_pes) {
+    throw std::out_of_range("PE " + std::to_string(pe) + " is off a machine of " +
+                            std::to_string(num_pes) + " PEs");
+  }
 }
 
 const char* backend_name(BackendKind k) {

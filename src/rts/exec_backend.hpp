@@ -93,6 +93,14 @@ const char* backend_name(BackendKind k);
 /// false (and leaves `out` untouched) on anything else.
 bool backend_from_name(const char* name, BackendKind& out);
 
+/// Returns `num_pes`, or throws std::invalid_argument when it is below 1.
+/// Every backend constructor sizes its machine through it.
+int checked_num_pes(int num_pes);
+
+/// Throws std::out_of_range unless 0 <= pe < num_pes. Every backend's
+/// inject() checks its target PE with it.
+void check_pe(int pe, int num_pes);
+
 /// Handle given to a running task: lets it consume CPU time and send
 /// messages. Valid only during the task's execution. Implementations: the
 /// DES context (virtual clock, LogGP network model) and the threaded
@@ -172,7 +180,8 @@ class ExecBackend {
 
   /// Injects a message ready to run on `pe` (no send-side cost charged; use
   /// for bootstrap messages). `time` is the absolute virtual arrival time
-  /// for simulated backends; real backends ignore it.
+  /// for simulated backends; real backends ignore it. Throws
+  /// std::out_of_range for a PE off the machine.
   virtual void inject(int pe, TaskMsg msg, double time = 0.0) = 0;
 
   /// Processes messages until none remain (quiescence).

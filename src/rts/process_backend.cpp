@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <array>
-#include <cassert>
 #include <cerrno>
 #include <chrono>
 #include <cstdio>
@@ -382,12 +381,11 @@ struct ProcessBackend::Supervisor {
 
 ProcessBackend::ProcessBackend(int num_pes, const MachineModel& machine,
                                ProcessOptions opts)
-    : num_pes_(num_pes),
+    : num_pes_(checked_num_pes(num_pes)),
       workers_(std::clamp(opts.workers, 1, num_pes)),
       machine_(machine),
       opts_(opts),
       busy_(static_cast<std::size_t>(num_pes), 0.0) {
-  assert(num_pes > 0);
   opts_.workers = workers_;
   epoch_start_ns_ = std::chrono::steady_clock::now().time_since_epoch().count();
 }
@@ -413,7 +411,7 @@ void ProcessBackend::set_state_hooks(
 }
 
 void ProcessBackend::inject(int pe, TaskMsg msg, double /*time*/) {
-  assert(pe >= 0 && pe < num_pes_);
+  check_pe(pe, num_pes_);
   ++acct_.offered;
   if (dead_pes_.count(pe) != 0) {
     ++acct_.discarded_dead_pe;

@@ -85,6 +85,7 @@ using TaskDecoder = std::function<TaskFn(const WirePayload&)>;
 /// evacuate machinery (ParallelSim::run_cycle) does the rest.
 class ProcessBackend final : public ExecBackend {
  public:
+  /// Throws std::invalid_argument when `num_pes` < 1.
   ProcessBackend(int num_pes, const MachineModel& machine,
                  ProcessOptions opts = {});
   ~ProcessBackend() override;

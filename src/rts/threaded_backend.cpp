@@ -12,7 +12,7 @@ namespace {
 
 int resolve_workers(int num_pes, int threads) {
   const int want = threads > 0 ? threads : ThreadPool::default_threads();
-  return std::clamp(want, 1, num_pes);
+  return std::clamp(want, 1, checked_num_pes(num_pes));
 }
 
 int resolve_watchdog_ms() {
@@ -53,7 +53,6 @@ ThreadedBackend::ThreadedBackend(int num_pes, const MachineModel& machine,
       pool_(resolve_workers(num_pes, threads)),
       watchdog_ms_(resolve_watchdog_ms()),
       epoch_(std::chrono::steady_clock::now()) {
-  assert(num_pes > 0);
   pes_.reserve(static_cast<std::size_t>(num_pes));
   for (int p = 0; p < num_pes; ++p) pes_.push_back(std::make_unique<Pe>());
   workers_.reserve(static_cast<std::size_t>(pool_.size()));
@@ -104,6 +103,7 @@ void ThreadedBackend::enqueue(int src_pe, int dst_pe, TaskMsg msg,
 }
 
 void ThreadedBackend::inject(int pe, TaskMsg msg, double /*time*/) {
+  check_pe(pe, num_pes());
   enqueue(pe, pe, std::move(msg), elapsed(), /*remote=*/false);
 }
 

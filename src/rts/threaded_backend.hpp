@@ -36,6 +36,7 @@ class ThreadedBackend final : public ExecBackend {
  public:
   /// `threads` == 0 picks ThreadPool::default_threads(). The worker count
   /// is clamped to [1, num_pes] — more workers than PEs would just idle.
+  /// Throws std::invalid_argument when `num_pes` < 1.
   ThreadedBackend(int num_pes, const MachineModel& machine, int threads = 0);
   ~ThreadedBackend() override;
 

@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdio>
+#include <functional>
 #include <vector>
 
 #include "core/parallel_sim.hpp"
@@ -24,17 +27,32 @@ struct DesCase {
 class DesProperty : public ::testing::TestWithParam<DesCase> {};
 
 /// Random workload: `n` root tasks, each possibly spawning children on
-/// random PEs up to depth 3. Records every task and message.
+/// random PEs up to depth 3. Records every task, message and fault. A
+/// non-empty `plan` arms the fault engine first; `extra` injects more
+/// bootstrap messages before the run.
 struct RandomRun {
   struct Collector : TraceSink {
     std::vector<TaskRecord> tasks;
     std::vector<MsgRecord> msgs;
+    std::vector<FaultRecord> faults;
+    const Simulator* sim = nullptr;
+    std::uint64_t stranded = 0;  ///< ready messages lost with failed PEs
     void on_task(const TaskRecord& r) override { tasks.push_back(r); }
     void on_message(const MsgRecord& r) override { msgs.push_back(r); }
+    void on_fault(const FaultRecord& r) override {
+      faults.push_back(r);
+      // The failure has just drained its PE's ready queue into the count.
+      if (r.kind == FaultKind::kPeFailure) stranded = sim->accounting().discarded_dead_pe;
+    }
   };
 
-  explicit RandomRun(const DesCase& c) : sim(c.pes, MachineModel::asci_red()) {
+  explicit RandomRun(const DesCase& c, const FaultPlan& plan = {},
+                     const std::function<void(Simulator&)>& extra = {})
+      : sim(c.pes, MachineModel::asci_red()) {
+    collector.sim = &sim;
     sim.set_sink(&collector);
+    if (!plan.empty()) sim.set_fault_plan(plan);
+    if (extra) extra(sim);
     Rng rng(static_cast<std::uint64_t>(c.seeds));
     // Deterministic spawn decisions captured up front (handlers must not
     // consume shared RNG in execution order for this test's purposes —
@@ -126,6 +144,113 @@ INSTANTIATE_TEST_SUITE_P(RandomWorkloads, DesProperty,
                          ::testing::Values(DesCase{1, 1}, DesCase{2, 2},
                                            DesCase{4, 3}, DesCase{8, 4},
                                            DesCase{32, 5}, DesCase{64, 6}));
+
+/// FNV-1a over the bits of every value added.
+struct BitHash {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  void add(std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      h ^= (v >> (8 * i)) & 0xffu;
+      h *= 0x100000001b3ull;
+    }
+  }
+  void add(double v) { add(std::bit_cast<std::uint64_t>(v)); }
+  void add(int v) { add(static_cast<std::uint64_t>(static_cast<std::int64_t>(v))); }
+};
+
+TEST(DesScheduleTest, ScheduleMatchesPinnedHash) {
+  // Pins the DES schedule bit for bit: a change to the event order (time,
+  // arrivals before dispatch, seq) or to the ready order (priority, FIFO
+  // seq) moves the hash. The workload adds message drops, duplicates and
+  // delays, a slowdown, a failure that strands queued messages and then
+  // receives more, equal-time arrivals on an idle PE, and zero-charge local
+  // sends and timers. Only IEEE + and * and Rng draws feed the hash, so the
+  // constant does not depend on libm.
+  BitHash h;
+  for (const DesCase& c : {DesCase{2, 2}, DesCase{8, 4}, DesCase{32, 5}}) {
+    const int doomed = c.pes - 1;
+    FaultPlan plan;
+    plan.seed = 17 + static_cast<std::uint64_t>(c.seeds);
+    plan.drop_prob = 0.1;
+    plan.dup_prob = 0.15;
+    plan.delay_prob = 0.2;
+    plan.delay_max = 2e-4;
+    plan.slowdowns.push_back({.pe = 0, .factor = 2.5, .from_time = 5e-4});
+    plan.failures.push_back({.pe = doomed, .at_time = 4.25e-4});
+    const auto extra = [doomed](Simulator& sim) {
+      // A burst queued on the doomed PE just before it fails. Distinct sizes
+      // make the order of equal-time arrivals visible in the records.
+      for (int k = 0; k < 6; ++k) {
+        sim.inject(doomed,
+                   {.object = 100u + static_cast<std::uint64_t>(k), .priority = k % 2,
+                    .bytes = 64u + 8u * static_cast<std::size_t>(k),
+                    .fn = [](ExecContext& ctx) { ctx.charge(1e-5); }},
+                   4e-4);
+      }
+      // Equal-time arrivals on an idle PE. Each charges nothing and posts an
+      // urgent zero-delay timer; the odd ones charge nothing at all, so the
+      // timer arrives exactly when the PE's next dispatch is due and runs
+      // next only if arrivals go first. The even ones also send to their
+      // own PE.
+      for (int k = 0; k < 4; ++k) {
+        const std::uint64_t id = 200u + static_cast<std::uint64_t>(k);
+        sim.inject(0,
+                   {.object = id, .priority = (2 * k) % 3,
+                    .bytes = 64u + 8u * static_cast<std::size_t>(k),
+                    .fn = [id](ExecContext& ctx) {
+                      ctx.post({.object = id + 10, .priority = -1,
+                                .fn = [](ExecContext&) {}},
+                               0.0);
+                      if (id % 2 == 0) {
+                        ctx.send(ctx.pe(), {.object = id + 20, .fn = [](ExecContext&) {}});
+                      }
+                    }},
+                   5e-2);
+      }
+    };
+    RandomRun run(c, plan, extra);
+    const MessageAccounting& a = run.sim.accounting();
+    // The case must reach the paths it pins.
+    EXPECT_TRUE(a.conserved());
+    EXPECT_TRUE(run.sim.idle());
+    EXPECT_GT(a.dropped_fault, 0u) << c.pes << " PEs";
+    EXPECT_GT(a.duplicated, 0u) << c.pes << " PEs";
+    EXPECT_GT(run.sim.fault_stats().messages_delayed, 0u) << c.pes << " PEs";
+    EXPECT_GT(run.collector.stranded, 0u) << c.pes << " PEs";
+    EXPECT_GT(a.discarded_dead_pe, run.collector.stranded) << c.pes << " PEs";
+
+    for (const TaskRecord& r : run.collector.tasks) {
+      h.add(r.pe);
+      h.add(r.entry);
+      h.add(r.object);
+      for (double v : {r.start, r.duration, r.recv_cost, r.pack_cost, r.send_cost}) h.add(v);
+    }
+    for (const MsgRecord& r : run.collector.msgs) {
+      h.add(r.src_pe);
+      h.add(r.dst_pe);
+      h.add(r.entry);
+      h.add(static_cast<std::uint64_t>(r.bytes));
+      h.add(r.send_time);
+      h.add(r.recv_time);
+    }
+    for (const FaultRecord& r : run.collector.faults) {
+      h.add(static_cast<int>(r.kind));
+      h.add(r.pe);
+      h.add(r.src_pe);
+      h.add(r.time);
+      h.add(r.magnitude);
+    }
+    for (std::uint64_t v : {a.offered, a.duplicated, a.dropped_fault, a.discarded_dead_pe,
+                            a.executed, a.pending_network, a.pending_ready}) {
+      h.add(v);
+    }
+    for (double busy : run.sim.busy_times()) h.add(busy);
+    h.add(run.sim.time());
+  }
+  char hex[32];
+  std::snprintf(hex, sizeof hex, "0x%016llx", static_cast<unsigned long long>(h.h));
+  EXPECT_EQ(h.h, 0x105d0e5ed8a0459full) << "schedule hash " << hex;
+}
 
 TEST(DesDeterminismTest, ParallelSimTraceAndLbAssignmentAreBitwiseIdentical) {
   // The whole parallel stack — patch placement, multicast, task-time noise

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <numeric>
 #include <set>
 
 #include "lb/greedy.hpp"
@@ -278,6 +279,143 @@ TEST(LbPropertyTest, RefineRespectsMoveBudgetAndTerminates) {
     // terminate and respect the monotonicity contract.
     const LbAssignment tight = refine_map(p, start, 1.0);
     EXPECT_LE(max_load(p, tight), max_load(p, start) + 1e-9) << "seed " << seed;
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Greedy equivalence: the placements must match a full scan over every PE
+// per object, the loop the strategy ran before it kept a min-load tree and
+// per-patch PE lists.
+// ---------------------------------------------------------------------------
+
+LbAssignment greedy_comm_map_reference(const LbProblem& p, double overload) {
+  const std::size_t npes = static_cast<std::size_t>(p.num_pes);
+  std::vector<double> load = p.background;
+  load.resize(npes, 0.0);
+  double total = std::accumulate(p.background.begin(), p.background.end(), 0.0);
+  for (const LbObject& o : p.objects) total += o.load;
+  const double limit = overload * (total / p.num_pes);
+
+  std::vector<std::vector<char>> present(p.patch_home.size(), std::vector<char>(npes, 0));
+  for (std::size_t patch = 0; patch < p.patch_home.size(); ++patch) {
+    present[patch][static_cast<std::size_t>(p.patch_home[patch])] = 1;
+  }
+  std::vector<std::size_t> order(p.objects.size());
+  std::iota(order.begin(), order.end(), 0u);
+  std::stable_sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
+    return p.objects[a].load > p.objects[b].load;
+  });
+
+  LbAssignment map(p.objects.size(), 0);
+  for (std::size_t idx : order) {
+    const LbObject& o = p.objects[idx];
+    bool any_fits = false;
+    for (std::size_t pe = 0; pe < npes && !any_fits; ++pe) {
+      any_fits = load[pe] + o.load <= limit;
+    }
+    int best_pe = -1;
+    int best_present = -1;
+    double best_load = 0.0;
+    for (std::size_t pe = 0; pe < npes; ++pe) {
+      if (any_fits && load[pe] + o.load > limit) continue;
+      int here = 0;
+      if (o.patch_a >= 0) here += present[static_cast<std::size_t>(o.patch_a)][pe];
+      if (o.patch_b >= 0) here += present[static_cast<std::size_t>(o.patch_b)][pe];
+      bool better;
+      if (any_fits) {
+        better = here > best_present || (here == best_present && load[pe] < best_load);
+      } else {
+        better = load[pe] < best_load || (load[pe] == best_load && here > best_present);
+      }
+      if (best_pe < 0 || better) {
+        best_pe = static_cast<int>(pe);
+        best_present = here;
+        best_load = load[pe];
+      }
+    }
+    map[idx] = best_pe;
+    load[static_cast<std::size_t>(best_pe)] += o.load;
+    if (o.patch_a >= 0) {
+      present[static_cast<std::size_t>(o.patch_a)][static_cast<std::size_t>(best_pe)] = 1;
+    }
+    if (o.patch_b >= 0) {
+      present[static_cast<std::size_t>(o.patch_b)][static_cast<std::size_t>(best_pe)] = 1;
+    }
+  }
+  return map;
+}
+
+LbAssignment greedy_nocomm_map_reference(const LbProblem& p) {
+  std::vector<double> load = p.background;
+  load.resize(static_cast<std::size_t>(p.num_pes), 0.0);
+  std::vector<std::size_t> order(p.objects.size());
+  std::iota(order.begin(), order.end(), 0u);
+  std::stable_sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
+    return p.objects[a].load > p.objects[b].load;
+  });
+  LbAssignment map(p.objects.size(), 0);
+  for (std::size_t idx : order) {
+    const auto pe = static_cast<std::size_t>(std::min_element(load.begin(), load.end()) -
+                                             load.begin());
+    map[idx] = static_cast<int>(pe);
+    load[pe] += p.objects[idx].load;
+  }
+  return map;
+}
+
+/// Integer loads so ties are exact; one problem in eight has up to 2,048
+/// PEs. Mixes objects heavier than any overload times the average (the
+/// balance-first branch), patch-less objects (as PME slabs are) and objects
+/// whose two patches are the same.
+LbProblem tie_heavy_problem(std::uint64_t seed) {
+  Rng rng(seed);
+  LbProblem p;
+  p.num_pes = 1 + static_cast<int>(rng.uniform_index(seed % 8 == 0 ? 2048 : 64));
+  const auto pes = static_cast<std::uint64_t>(p.num_pes);
+  p.background.resize(static_cast<std::size_t>(p.num_pes));
+  for (double& b : p.background) b = static_cast<double>(rng.uniform_index(4));
+  const int npatches = 1 + static_cast<int>(rng.uniform_index(300));
+  for (int i = 0; i < npatches; ++i) {
+    p.patch_home.push_back(static_cast<int>(rng.uniform_index(pes)));
+  }
+  const auto patches = static_cast<std::uint64_t>(npatches);
+  const int nobjects =
+      1 + static_cast<int>(rng.uniform_index(std::min<std::uint64_t>(3 * pes + 40, 2500)));
+  for (int i = 0; i < nobjects; ++i) {
+    LbObject o;
+    const std::uint64_t kind = rng.uniform_index(20);
+    o.load = kind == 0 ? 1000.0 : static_cast<double>(rng.uniform_index(12));
+    o.current_pe = static_cast<int>(rng.uniform_index(pes));
+    o.patch_a = kind == 1 ? -1 : static_cast<int>(rng.uniform_index(patches));
+    const std::uint64_t b = rng.uniform_index(10);
+    o.patch_b = b < 4 ? -1 : b == 4 ? o.patch_a : static_cast<int>(rng.uniform_index(patches));
+    p.objects.push_back(o);
+  }
+  return p;
+}
+
+TEST(LbPropertyTest, GreedyMatchesFullScanReference) {
+  int balance_first = 0;
+  for (std::uint64_t seed = 1; seed <= 160; ++seed) {
+    const LbProblem p = tie_heavy_problem(seed);
+    for (double overload : {1.0, 1.1, 1.5}) {
+      ASSERT_EQ(greedy_comm_map(p, overload), greedy_comm_map_reference(p, overload))
+          << "seed " << seed << " overload " << overload << " pes " << p.num_pes;
+    }
+    ASSERT_EQ(greedy_nocomm_map(p), greedy_nocomm_map_reference(p)) << "seed " << seed;
+    // An object over 1.5x the average fits nowhere at any overload tried.
+    double total = std::accumulate(p.background.begin(), p.background.end(), 0.0);
+    for (const LbObject& o : p.objects) total += o.load;
+    balance_first += std::any_of(p.objects.begin(), p.objects.end(), [&](const LbObject& o) {
+      return o.load > 1.5 * total / p.num_pes;
+    });
+  }
+  EXPECT_GT(balance_first, 40);
+  // The shared random instances (fractional loads, few PEs) too.
+  for (std::uint64_t seed = 1; seed <= 50; ++seed) {
+    const LbProblem p = random_problem(seed);
+    EXPECT_EQ(greedy_comm_map(p), greedy_comm_map_reference(p, 1.10)) << "seed " << seed;
+    EXPECT_EQ(greedy_nocomm_map(p), greedy_nocomm_map_reference(p)) << "seed " << seed;
   }
 }
 

@@ -1,11 +1,15 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <stdexcept>
 #include <vector>
 
+#include "des/simulator.hpp"
 #include "rts/multicast.hpp"
+#include "rts/process_backend.hpp"
 #include "rts/reduction.hpp"
 #include "rts/registry.hpp"
+#include "rts/threaded_backend.hpp"
 
 namespace scalemd {
 namespace {
@@ -20,6 +24,29 @@ MachineModel test_machine() {
   m.pack_byte_cost = 0.001;  // per byte
   m.local_overhead = 0.01;
   return m;
+}
+
+// Bad PE arguments fail with named errors in every build type: with
+// -DNDEBUG an assert would vanish and an off-machine PE would index past the
+// backend's PE table.
+TEST(ExecBackendTest, BadPeArgumentsThrowNamedErrors) {
+  const MachineModel m = test_machine();
+  for (int pes : {0, -1}) {
+    EXPECT_THROW(Simulator sim(pes, m), std::invalid_argument) << pes;
+    EXPECT_THROW(ThreadedBackend threads(pes, m, 1), std::invalid_argument) << pes;
+    EXPECT_THROW(ProcessBackend process(pes, m), std::invalid_argument) << pes;
+  }
+  Simulator sim(2, m);
+  ThreadedBackend threads(2, m, 1);
+  ProcessBackend process(2, m);
+  for (ExecBackend* backend : std::vector<ExecBackend*>{&sim, &threads, &process}) {
+    for (int pe : {-1, 2, 1 << 20}) {
+      EXPECT_THROW(backend->inject(pe, TaskMsg{}), std::out_of_range)
+          << backend_name(backend->kind()) << " PE " << pe;
+    }
+    EXPECT_TRUE(backend->idle()) << backend_name(backend->kind());
+    EXPECT_EQ(backend->accounting().offered, 0u) << backend_name(backend->kind());
+  }
 }
 
 TEST(ChareDirectoryTest, AddLookupMigrate) {

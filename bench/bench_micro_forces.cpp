@@ -170,6 +170,7 @@ struct VariantResult {
   double pairs_per_sec = 0.0;     // distance tests per second
   EnergyTerms energy;
   WorkCounters work;
+  SequentialEngine::TileShape shape;  // tiled variants: the cluster kernel's shape
 };
 
 int run_comparison(double box_side, int threads, const bench::CommonArgs& args) {
@@ -200,6 +201,7 @@ int run_comparison(double box_side, int threads, const bench::CommonArgs& args) 
     res.energy = eng.potential();
     res.work = eng.work();
     res.pairs_per_sec = static_cast<double>(res.work.pairs_tested) / res.seconds;
+    res.shape = eng.tile_shape();
     rec.param("atoms", m.atom_count())
         .param("threads", res.threads)
         .param("pairs_per_sec", res.pairs_per_sec)
@@ -232,6 +234,23 @@ int run_comparison(double box_side, int threads, const bench::CommonArgs& args) 
     std::printf("%-14s %8d %12.4f %14.4g %9.2fx\n", kernel_name(r.kernel),
                 r.threads, r.seconds, r.pairs_per_sec,
                 ref.seconds / r.seconds);
+  }
+
+  // The cluster kernel's shape: blocks run, in-cutoff pairs per block lane
+  // (lane efficiency), and the share of the cell layout's slots that are
+  // padding.
+  for (const VariantResult& r : results) {
+    if (r.kernel != NonbondedKernel::kTiled) continue;
+    const double lanes = static_cast<double>(r.shape.blocks) * kClusterI * kClusterJ;
+    std::printf("%s blocks (%s body): %llu 4x8 blocks/eval, lane efficiency %.3f, "
+                "padding %.1f%% of %zu slots\n",
+                kernel_name(r.kernel), block_path_name(native_block_path()),
+                static_cast<unsigned long long>(r.shape.blocks),
+                lanes > 0 ? static_cast<double>(r.work.pairs_computed) / lanes : 0.0,
+                r.shape.slots > 0 ? 100.0 * static_cast<double>(r.shape.slots - r.shape.atoms) /
+                                        static_cast<double>(r.shape.slots)
+                                  : 0.0,
+                r.shape.slots);
   }
 
   perf::BenchReport report = perf::make_report("micro_forces");

@@ -381,8 +381,7 @@ ParallelSim::ParallelSim(const Workload& workload, const ParallelOptions& opts)
   }
   active_patches_ = static_cast<int>(patches_.size());
   if (opts_.numeric && wl_->nonbonded.kernel == NonbondedKernel::kTiled) {
-    tiles_.resize(static_cast<std::size_t>(mol_->atom_count()));
-    tile_off_.resize(patches_.size());
+    tiles_.resize(patches_.size());
   }
 
   // Compute runtime state.
@@ -484,12 +483,6 @@ void ParallelSim::rebuild_dataflow() {
     computes_[i].deps_pending = static_cast<int>(computes_[i].deps.size());
   }
 
-  // Tile slices follow the (possibly migrated) patch sizes.
-  std::size_t tile_rows = 0;
-  for (std::size_t p = 0; p < tile_off_.size(); ++p) {
-    tile_off_[p] = tile_rows;
-    tile_rows += patches_[p].atoms.size();
-  }
   for (std::size_t p = 0; p < patches_.size(); ++p) {
     patches_[p].contrib_expected =
         static_cast<int>(patch_proxy_ids_[p].size());
@@ -527,16 +520,15 @@ int ParallelSim::proxy_index(int patch, int pe) const {
 // ---------------------------------------------------------------------------
 
 void ParallelSim::gather_tile(int patch) {
-  if (tile_off_.empty()) return;
+  if (tiles_.empty()) return;
   const PatchRt& pr = patches_[static_cast<std::size_t>(patch)];
-  tiles_.gather_at(tile_off_[static_cast<std::size_t>(patch)], *nb_ctx_, pr.atoms,
-                   pr.pos);
+  tiles_[static_cast<std::size_t>(patch)].lay_out(*nb_ctx_, pr.atoms, pr.pos, patch,
+                                                   atom_loc_);
 }
 
 TileView ParallelSim::tile_of(int patch) const {
-  if (tile_off_.empty()) return {};
-  return tiles_.view(tile_off_[static_cast<std::size_t>(patch)],
-                     patches_[static_cast<std::size_t>(patch)].atoms.size());
+  if (tiles_.empty()) return {};
+  return tiles_[static_cast<std::size_t>(patch)].view();
 }
 
 void ParallelSim::publish_coords(ExecContext& ctx, int patch) {

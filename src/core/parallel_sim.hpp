@@ -329,7 +329,7 @@ class ParallelSim {
   void rebuild_dataflow();
   void rebuild_reducer();
   void publish_coords(ExecContext& ctx, int patch);
-  /// kTiled: regathers the patch's slice of tiles_ from its current atoms
+  /// kTiled: lays out the patch's cluster tile again from its current atoms
   /// and positions (no-op for the other kernels).
   void gather_tile(int patch);
   TileView tile_of(int patch) const;
@@ -425,16 +425,13 @@ class ParallelSim {
   std::vector<double> charges_;
   std::vector<int> lj_types_;
   std::unique_ptr<NonbondedContext> nb_ctx_;
-  // kTiled (numeric mode): every atom in SoA form, laid out in patch order
-  // (patch p's slice starts at tile_off_[p]; offsets follow the patch sizes
-  // and are laid out again by rebuild_dataflow). A patch's slice is
-  // regathered once per force round where the round's coordinates land
+  // kTiled (numeric mode): one cluster tile per patch. A patch's tile is
+  // laid out once per force round where the round's coordinates land
   // (publish_coords on the home, the coords decoder on a remote process
-  // worker) and shared by every compute reading the patch that round. One
-  // allocation for the whole run. Derived state: never checkpointed,
-  // exported or flushed.
-  TileSoA tiles_;
-  std::vector<std::size_t> tile_off_;
+  // worker) and shared by every compute reading the patch that round; its
+  // storage is reused from round to round. Derived state: never
+  // checkpointed, exported or flushed.
+  std::vector<ClusterTile> tiles_;
   // One compute scratch per PE (numeric mode): under the threaded backend
   // each PE's worker runs computes concurrently, and the scratch must not
   // be shared.

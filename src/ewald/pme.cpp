@@ -206,6 +206,7 @@ void PmeKernels::gather(std::span<const PmeStencil> stencils,
   const double hx = opts_.grid_x / box_.x;
   const double hy = opts_.grid_y / box_.y;
   const double hz = opts_.grid_z / box_.z;
+  Vec3 net;  // this share's net force
   for (const PmeStencil& s : stencils) {
     Vec3 grad;  // d(energy)/d(r_i)
     for (int a = 0; a < p; ++a) {
@@ -227,8 +228,17 @@ void PmeKernels::gather(std::span<const PmeStencil> stencils,
       }
     }
     const auto i = static_cast<std::size_t>(s.atom);
-    f[i] -= grad * q[i];
+    const Vec3 fi = grad * q[i];
+    f[i] -= fi;
+    net -= fi;
   }
+  // Mesh interpolation does not conserve momentum: the share's forces carry
+  // a small net force, which random-walks the total momentum of a long NVE
+  // run. Every atom gives back an equal part of it (AMBER's netfrc), so each
+  // share, and the sum of the shares, nets to zero.
+  if (f.empty()) return;
+  const Vec3 mean = net / static_cast<double>(f.size());
+  for (Vec3& fa : f) fa -= mean;
 }
 
 Pme::Pme(const Vec3& box, const PmeOptions& opts) : kernels_(box, opts) {}

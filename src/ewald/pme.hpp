@@ -73,6 +73,8 @@ class PmeKernels {
 
   /// f[atom] -= q[atom] * grad for every stencil, with the gradient of the
   /// potential on the planes in [z0, z1) only: each slab adds its own share.
+  /// Then every atom of `f` (all atoms) gives back an equal part of the
+  /// share's net force, so the share nets to zero.
   void gather(std::span<const PmeStencil> stencils, std::span<const double> q, int z0,
               int z1, std::span<const std::complex<double>> planes,
               std::span<Vec3> f) const;

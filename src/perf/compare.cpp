@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <fstream>
 #include <sstream>
 
+#include "perf/json.hpp"
 #include "util/table.hpp"
 
 namespace scalemd::perf {
@@ -17,6 +19,24 @@ std::vector<std::string> CompareResult::offenders() const {
     }
   }
   return names;
+}
+
+std::map<std::string, double> load_bounds(const std::string& path) {
+  std::ifstream is(path);
+  if (!is) throw BenchSchemaError("load_bounds: cannot open " + path);
+  std::ostringstream text;
+  text << is.rdbuf();
+  std::map<std::string, double> bounds;
+  try {
+    const JsonValue doc = JsonValue::parse(text.str());
+    for (const JsonValue& m : doc.at("end_to_end").items()) {
+      bounds[m.at("name").as_string()] = m.at("bound").as_number();
+    }
+  } catch (const JsonError& e) {
+    throw BenchSchemaError(path + ": not a benchmark file with end-to-end bounds: " +
+                           e.what());
+  }
+  return bounds;
 }
 
 CompareResult compare_reports(const BenchReport& baseline,
@@ -37,8 +57,9 @@ CompareResult compare_reports(const BenchReport& baseline,
     }
     d.cand_median = cand->median;
     d.delta = cand->median - base.median;
-    d.threshold = std::max(opts.rel_min * std::fabs(base.median),
-                           opts.mad_k * base.mad);
+    const auto own = opts.rel_min_of.find(base.name);
+    const double rel_min = own != opts.rel_min_of.end() ? own->second : opts.rel_min;
+    d.threshold = std::max(rel_min * std::fabs(base.median), opts.mad_k * base.mad);
     if (d.delta > d.threshold) {
       d.verdict = BenchDelta::Verdict::kRegressed;
       result.failed = true;

@@ -7,6 +7,7 @@
 // absorbs calibration-level drift, the MAD term scales the gate with the
 // measured noise of the baseline itself.
 
+#include <map>
 #include <string>
 #include <vector>
 
@@ -16,6 +17,9 @@ namespace scalemd::perf {
 
 struct CompareOptions {
   double rel_min = 0.05;  ///< minimum relative delta to flag (5%)
+  /// Per-benchmark relative floors that replace rel_min for the benchmarks
+  /// they name (load_bounds reads them from a BENCHMARK.json).
+  std::map<std::string, double> rel_min_of;
   double mad_k = 3.0;     ///< noise gate: baseline MADs a delta must exceed
   /// When false (default), a baseline benchmark missing from the candidate
   /// is itself a failure — silently dropped coverage must not pass a gate.
@@ -41,6 +45,11 @@ struct CompareResult {
   /// Names of the offending benchmarks, for error messages and CI logs.
   std::vector<std::string> offenders() const;
 };
+
+/// The end-to-end bounds of a repository benchmark file (BENCHMARK.json:
+/// `end_to_end[]` entries with `name` and `bound`), by metric name. Throws
+/// BenchSchemaError naming the file when it is missing or malformed.
+std::map<std::string, double> load_bounds(const std::string& path);
 
 CompareResult compare_reports(const BenchReport& baseline,
                               const BenchReport& candidate,

@@ -108,12 +108,25 @@ EnergyTerms SequentialEngine::eval_cell_task(const NonbondedContext& ctx,
                               cells_.atoms(b), cells_.pos(b), slice(b), work);
 }
 
+SequentialEngine::TileShape SequentialEngine::tile_shape() const {
+  TileShape shape;
+  shape.blocks = tile_scratch_.blocks;
+  for (const NbWorker& w : nb_workers_) shape.blocks += w.scratch.blocks;
+  for (int c = 0; c < cells_.sets(); ++c) {
+    const TileView t = cells_.tile(c);
+    shape.atoms += t.n;
+    shape.slots += t.slots;
+  }
+  return shape;
+}
+
 EnergyTerms SequentialEngine::eval_cells(const NonbondedContext& ctx,
                                          std::span<Vec3> out) {
   layout_cells(ctx);
   // Tasks in order: every cell's self interactions, then every neighbor
   // pair, accumulating into cell-ordered forces scattered at the end.
   cell_frc_.assign(cells_.atom_count(), Vec3{});
+  tile_scratch_.blocks = 0;
   EnergyTerms energy;
   const std::size_t ntasks = static_cast<std::size_t>(cells_.sets()) + cell_pairs_.size();
   for (std::size_t t = 0; t < ntasks; ++t) {
@@ -134,6 +147,7 @@ EnergyTerms SequentialEngine::eval_cells_mt(const NonbondedContext& ctx,
   for (auto& w : nb_workers_) {
     w.frc.assign(cells_.atom_count(), Vec3{});
     w.work = {};
+    w.scratch.blocks = 0;
   }
 
   // The serial path's tasks on the pool. The static schedule plus

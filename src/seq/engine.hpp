@@ -87,6 +87,15 @@ class SequentialEngine {
   /// Work performed by the last force evaluation (pairs, bonded terms).
   const WorkCounters& work() const { return work_; }
 
+  /// The cluster kernel's shape in the last cell sweep of a tiled kernel:
+  /// 4x8 blocks evaluated, and the cells' atoms and padded slots.
+  struct TileShape {
+    std::uint64_t blocks = 0;
+    std::size_t atoms = 0;
+    std::size_t slots = 0;
+  };
+  TileShape tile_shape() const;
+
   const CellGrid& grid() const { return grid_; }
   const ExclusionTable& exclusions() const { return excl_; }
   const EngineOptions& options() const { return opts_; }

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cctype>
 #include <cmath>
+#include <cstdio>
 #include <cstring>
 #include <initializer_list>
 #include <numeric>
@@ -16,6 +17,7 @@
 #include "gen/water_box.hpp"
 #include "seq/engine.hpp"
 #include "topo/exclusions.hpp"
+#include "util/random.hpp"
 
 namespace scalemd {
 namespace {
@@ -226,6 +228,192 @@ TEST(TiledKernelTest, TileRangesMatchScalarRangesAcrossSetBoundary) {
   expect_forces_close(fb_got, fb_ref);
   expect_forces_close(fs_got, fs_ref);
   EXPECT_GT(w_total.pairs_computed, 0u);
+}
+
+// ---------------------------------------------------------------------------
+// The cluster-pair kernel on awkward layouts: split row ranges of self and
+// pair calls over spatial sets whose exclusions and 1-4 pairs cross
+// clusters and sets, next to a one-atom and an empty set, with and without
+// full electrostatics, against the scalar range kernels; and the AVX-512
+// block body against the portable lane loop, bit for bit.
+// ---------------------------------------------------------------------------
+
+/// Every call the runtime could make on these sets: each set's self rows and
+/// each ordered pair's outer rows, in three uneven pieces plus an empty one.
+struct TileCallResults {
+  std::vector<EnergyTerms> energy;
+  std::vector<WorkCounters> work;
+  std::vector<std::vector<Vec3>> forces;  ///< per set, summed over calls
+};
+
+std::vector<std::pair<std::size_t, std::size_t>> pieces_of(std::size_t n) {
+  return {{0, n / 3}, {n / 3, std::min(n, n / 3 + 5)}, {std::min(n, n / 3 + 5), n}, {n, n}};
+}
+
+TileCallResults run_tile_calls(const KernelSystem& sys, const SetLayout& layout,
+                               BlockPath path) {
+  TileCallResults out;
+  TileScratch ws;
+  ws.path = path;
+  for (int s = 0; s < layout.sets(); ++s) out.forces.emplace_back(layout.size(s));
+  for (int a = 0; a < layout.sets(); ++a) {
+    for (const auto& [b, e] : pieces_of(layout.size(a))) {
+      WorkCounters w;
+      out.energy.push_back(nonbonded_self_tile_range(*sys.ctx, layout.tile(a), a,
+                                                     layout.where(), out.forces[a], b,
+                                                     e, w, ws));
+      out.work.push_back(w);
+      for (int p = 0; p < layout.sets(); ++p) {
+        if (p == a) continue;
+        WorkCounters wp;
+        out.energy.push_back(nonbonded_ab_tile_range(
+            *sys.ctx, layout.tile(a), out.forces[a], layout.tile(p), p, layout.where(),
+            out.forces[p], b, e, wp, ws));
+        out.work.push_back(wp);
+      }
+    }
+  }
+  return out;
+}
+
+TileCallResults run_scalar_calls(const KernelSystem& sys, const SetLayout& layout) {
+  TileCallResults out;
+  for (int s = 0; s < layout.sets(); ++s) out.forces.emplace_back(layout.size(s));
+  for (int a = 0; a < layout.sets(); ++a) {
+    for (const auto& [b, e] : pieces_of(layout.size(a))) {
+      WorkCounters w;
+      out.energy.push_back(nonbonded_self_range(*sys.ctx, layout.atoms(a), layout.pos(a),
+                                                out.forces[a], b, e, w));
+      out.work.push_back(w);
+      for (int p = 0; p < layout.sets(); ++p) {
+        if (p == a) continue;
+        WorkCounters wp;
+        out.energy.push_back(nonbonded_ab_range(*sys.ctx, layout.atoms(a),
+                                                layout.pos(a), out.forces[a],
+                                                layout.atoms(p), layout.pos(p),
+                                                out.forces[p], b, e, wp));
+        out.work.push_back(wp);
+      }
+    }
+  }
+  return out;
+}
+
+/// A solvated chain cut into three x-slabs (bonds cross the cuts), then a
+/// one-atom set and an empty one.
+SetLayout awkward_layout(const KernelSystem& sys) {
+  const auto pos = sys.mol.positions();
+  double lo = pos[0].x, hi = pos[0].x;
+  for (const Vec3& p : pos) lo = std::min(lo, p.x), hi = std::max(hi, p.x);
+  std::vector<std::vector<int>> sets(5);
+  sets[3].push_back(0);
+  for (int i = 1; i < sys.mol.atom_count(); ++i) {
+    const double f = (pos[static_cast<std::size_t>(i)].x - lo) / (hi - lo);
+    sets[static_cast<std::size_t>(std::min(2, static_cast<int>(3 * f)))].push_back(i);
+  }
+  SetLayout layout;
+  layout.clear(sys.mol.atom_count());
+  for (const auto& set : sets) layout.add(set, pos);
+  layout.gather_tiles(*sys.ctx);
+  return layout;
+}
+
+class ClusterKernelTest : public testing::TestWithParam<bool> {
+ protected:
+  KernelSystem make_system() const {
+    NonbondedOptions opts;
+    opts.cutoff = 7.5;
+    opts.switch_dist = 6.5;
+    opts.full_elec.enabled = GetParam();
+    opts.full_elec.alpha = 0.4;
+    return KernelSystem(small_solvated_chain(700, 29), opts);
+  }
+};
+
+TEST_P(ClusterKernelTest, SplitRangesMatchScalarOnAwkwardSets) {
+  const KernelSystem sys = make_system();
+  const SetLayout layout = awkward_layout(sys);
+  ASSERT_EQ(layout.size(3), 1u);
+  ASSERT_EQ(layout.size(4), 0u);
+  bool padded = false;
+  for (int s = 0; s < layout.sets(); ++s) padded |= layout.tile(s).slots > layout.size(s);
+  EXPECT_TRUE(padded);
+
+  const TileCallResults got = run_tile_calls(sys, layout, native_block_path());
+  const TileCallResults ref = run_scalar_calls(sys, layout);
+  ASSERT_EQ(got.energy.size(), ref.energy.size());
+  std::uint64_t computed = 0;
+  for (std::size_t c = 0; c < ref.energy.size(); ++c) {
+    SCOPED_TRACE("call " + std::to_string(c));
+    expect_energy_close(got.energy[c], ref.energy[c]);
+    EXPECT_EQ(got.work[c].pairs_tested, ref.work[c].pairs_tested);
+    EXPECT_EQ(got.work[c].pairs_computed, ref.work[c].pairs_computed);
+    computed += got.work[c].pairs_computed;
+  }
+  EXPECT_GT(computed, 0u);
+  for (int s = 0; s < layout.sets(); ++s) expect_forces_close(got.forces[s], ref.forces[s]);
+}
+
+TEST_P(ClusterKernelTest, IntrinsicAndPortableBodiesAgreeBitwise) {
+  std::printf("native block path: %s\n", block_path_name(native_block_path()));
+  if (native_block_path() != BlockPath::kAvx512) {
+    GTEST_SKIP() << "this build has no AVX-512 block body; only the portable lane loop runs";
+  }
+  const KernelSystem sys = make_system();
+  const SetLayout layout = awkward_layout(sys);
+  const TileCallResults avx = run_tile_calls(sys, layout, BlockPath::kAvx512);
+  const TileCallResults lane = run_tile_calls(sys, layout, BlockPath::kPortable);
+  ASSERT_EQ(avx.energy.size(), lane.energy.size());
+  for (std::size_t c = 0; c < avx.energy.size(); ++c) {
+    EXPECT_EQ(std::memcmp(&avx.energy[c], &lane.energy[c], sizeof(EnergyTerms)), 0)
+        << "call " << c;
+    EXPECT_EQ(avx.work[c].pairs_tested, lane.work[c].pairs_tested) << "call " << c;
+    EXPECT_EQ(avx.work[c].pairs_computed, lane.work[c].pairs_computed) << "call " << c;
+  }
+  for (int s = 0; s < layout.sets(); ++s) {
+    EXPECT_EQ(std::memcmp(avx.forces[s].data(), lane.forces[s].data(),
+                          avx.forces[s].size() * sizeof(Vec3)),
+              0)
+        << "set " << s;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(CutoffAndFullElec, ClusterKernelTest, testing::Bool(),
+                         [](const testing::TestParamInfo<bool>& info) {
+                           return info.param ? "full_elec" : "cutoff";
+                         });
+
+// More than 8 LJ types: the j-lanes' A and B come from a gather instead of
+// an in-register permute, with the same values.
+TEST(ClusterKernelTypesTest, ManyLjTypesMatchScalarAndBothBodies) {
+  Molecule m;
+  m.box = {30, 30, 30};
+  std::vector<int> types;
+  for (int t = 0; t < 11; ++t) types.push_back(m.params.add_lj_type(0.05 + 0.02 * t, 1.5 + 0.05 * t));
+  const int bond = m.params.add_bond_param(300.0, 1.5);
+  m.params.finalize();
+  Rng rng(5);
+  for (int i = 0; i < 400; ++i) {
+    const Vec3 p = i % 4 == 0 ? rng.point_in_box({16, 16, 16})
+                              : m.positions()[static_cast<std::size_t>(i - 1)] + Vec3{1.5, 0, 0};
+    m.add_atom({12.0, i % 2 == 0 ? 0.4 : -0.4, types[static_cast<std::size_t>(i % 11)]}, p);
+    if (i % 4 != 0) m.add_bond(i - 1, i, bond);
+  }
+  NonbondedOptions opts;
+  opts.cutoff = 7.5;
+  opts.switch_dist = 6.5;
+  const KernelSystem sys(m, opts);
+  const SetLayout layout = awkward_layout(sys);
+  const TileCallResults got = run_tile_calls(sys, layout, native_block_path());
+  const TileCallResults ref = run_scalar_calls(sys, layout);
+  const TileCallResults lane = run_tile_calls(sys, layout, BlockPath::kPortable);
+  for (std::size_t c = 0; c < ref.energy.size(); ++c) {
+    expect_energy_close(got.energy[c], ref.energy[c]);
+    EXPECT_EQ(got.work[c].pairs_computed, ref.work[c].pairs_computed) << "call " << c;
+    EXPECT_EQ(got.energy[c].lj, lane.energy[c].lj) << "call " << c;
+    EXPECT_EQ(got.energy[c].elec, lane.energy[c].elec) << "call " << c;
+  }
+  for (int s = 0; s < layout.sets(); ++s) expect_forces_close(got.forces[s], ref.forces[s]);
 }
 
 // ---------------------------------------------------------------------------

@@ -181,12 +181,13 @@ TEST(BenchReportTest, RejectsWrongMagicAndNewerVersion) {
 }
 
 // perfbench result lines: one run per line, the run's other output skipped.
-std::string perfbench_line(double step_ms, double failed) {
+std::string perfbench_line(double step_ms, double failed, double peak_rss_mb = 58) {
   return "{\"correct\": true,\"attempted\": 6,\"failed\": " + std::to_string(failed) +
          ",\"metrics\": {\"step_ms\": {\"value\": " + std::to_string(step_ms) +
          ",\"unit\": \"ms\"},\"table_s\": {\"value\": " + std::to_string(step_ms / 200) +
          ",\"unit\": \"s\"},\"setup_s\": {\"value\": 2.5,\"unit\": \"s\"},"
-         "\"peak_rss_mb\": {\"value\": 58,\"unit\": \"MB\"}}}\n";
+         "\"peak_rss_mb\": {\"value\": " + std::to_string(peak_rss_mb) +
+         ",\"unit\": \"MB\"}}}\n";
 }
 
 void write_file(const std::string& path, const std::string& text) {
@@ -224,6 +225,41 @@ TEST(BenchReportTest, PerfbenchRunsLoadAsOneRecordPerMetric) {
   CompareOptions bound;
   bound.rel_min = 0.25;
   EXPECT_FALSE(compare_reports(runs, runs, bound).failed);
+}
+
+// The repository benchmark's own bounds gate each metric: 12% more memory
+// fails peak_rss_mb's 10%, while 12% more step time stays inside its 25%.
+TEST(BenchReportTest, BoundsFileGatesEachMetricAtItsOwnBound) {
+  CompareOptions opts;
+  opts.rel_min_of = load_bounds(std::string(SCALEMD_TEST_DATA_DIR) + "/../BENCHMARK.json");
+  EXPECT_DOUBLE_EQ(opts.rel_min_of.at("peak_rss_mb"), 0.10);
+  EXPECT_DOUBLE_EQ(opts.rel_min_of.at("step_ms"), 0.25);
+
+  const std::string base_path = testing::TempDir() + "scalemd_bounds_parent.jsonl";
+  const std::string cand_path = testing::TempDir() + "scalemd_bounds_change.jsonl";
+  const auto runs_of = [](double step_ms, double peak_rss_mb) {
+    std::string text;
+    for (double jitter : {-1.0, 0.0, 1.0}) {
+      text += perfbench_line(step_ms + jitter, 0, peak_rss_mb + jitter / 10);
+    }
+    return text;
+  };
+  write_file(base_path, runs_of(200.0, 58.0));
+  write_file(cand_path, runs_of(200.0 * 1.12, 58.0 * 1.12));
+  const BenchReport parent = load_perfbench_runs(base_path);
+  const BenchReport change = load_perfbench_runs(cand_path);
+  std::remove(base_path.c_str());
+  std::remove(cand_path.c_str());
+
+  const CompareResult r = compare_reports(parent, change, opts);
+  EXPECT_TRUE(r.failed);
+  EXPECT_EQ(r.offenders(), (std::vector<std::string>{"peak_rss_mb"}));
+
+  // A file without end-to-end bounds is named in the error.
+  const std::string bad = testing::TempDir() + "scalemd_no_bounds.json";
+  write_file(bad, "{\"workloads\": []}\n");
+  EXPECT_THROW(load_bounds(bad), BenchSchemaError);
+  std::remove(bad.c_str());
 }
 
 TEST(BenchReportTest, MalformedPerfbenchLineThrowsNamingItsLine) {

@@ -3,14 +3,17 @@
 // one workload per file; see load_perfbench_runs).
 //
 //   bench_compare baseline.json candidate.json [--rel-min F] [--mad-k F]
-//                 [--allow-missing]
-//   bench_compare parent.jsonl change.jsonl --rel-min 0.25
+//                 [--bounds BENCHMARK.json] [--allow-missing]
+//   bench_compare parent.jsonl change.jsonl --bounds BENCHMARK.json
 //
 // A benchmark regresses only when candidate_median - baseline_median exceeds
 // max(rel_min * baseline_median, mad_k * baseline_MAD): the relative floor
 // (default 5%) absorbs calibration drift, the MAD term (default 3x) scales
 // the gate with the baseline's own measured noise. Deterministic records
-// have MAD 0, so any delta beyond the relative floor is flagged.
+// have MAD 0, so any delta beyond the relative floor is flagged. `--bounds`
+// gives every metric the benchmark file names its own relative floor: its
+// `end_to_end[].bound` (peak_rss_mb 0.10, the timings 0.25); the others
+// keep rel_min.
 //
 // Exit codes: 0 = no confirmed regressions; 1 = regressions (each offender
 // named on stderr); 2 = usage or unreadable/invalid input.
@@ -46,7 +49,7 @@ scalemd::perf::BenchReport load_input(const std::string& path) {
 int usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s baseline.json candidate.json [--rel-min F] "
-               "[--mad-k F] [--allow-missing]\n",
+               "[--mad-k F] [--bounds BENCHMARK.json] [--allow-missing]\n",
                argv0);
   return 2;
 }
@@ -57,6 +60,7 @@ int main(int argc, char** argv) {
   using namespace scalemd::perf;
 
   std::vector<std::string> paths;
+  std::string bounds_path;
   CompareOptions opts;
   for (int i = 1; i < argc; ++i) {
     const auto next_val = [&]() -> const char* {
@@ -69,6 +73,9 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--mad-k") == 0) {
       if ((v = next_val()) == nullptr) return usage(argv[0]);
       opts.mad_k = std::atof(v);
+    } else if (std::strcmp(argv[i], "--bounds") == 0) {
+      if ((v = next_val()) == nullptr) return usage(argv[0]);
+      bounds_path = v;
     } else if (std::strcmp(argv[i], "--allow-missing") == 0) {
       opts.allow_missing = true;
     } else if (std::strncmp(argv[i], "--", 2) == 0) {
@@ -81,6 +88,7 @@ int main(int argc, char** argv) {
   if (paths.size() != 2) return usage(argv[0]);
 
   try {
+    if (!bounds_path.empty()) opts.rel_min_of = load_bounds(bounds_path);
     const BenchReport baseline = load_input(paths[0]);
     const BenchReport candidate = load_input(paths[1]);
     const CompareResult result = compare_reports(baseline, candidate, opts);
